@@ -1,20 +1,18 @@
 // Morsel-driven parallel + batch execution layer, measured end to end:
 //
 //   scan→filter→aggregate over a 100k-row SUPPLIER table, executed
-//   tuple-at-a-time serial, batch (vectorized) at dop 1, and
-//   morsel-parallel at dop 2/4/8;
+//   serially (dop 1) and morsel-parallel at dop 2/4/8;
 //
 //   join + DISTINCT vs join with DISTINCT eliminated (the paper's
 //   headline rewrite), serial and at dop 8 — elimination removes the
 //   gather-side dedup barrier entirely.
 //
-// Histograms (consumed by scripts/bench_compare.py --exec-scaling and
-// the BENCH_pr9.json gate):
-//   bench.exec.serial.ns     tuple-at-a-time, dop 1
-//   bench.exec.batch.ns      batch path, dop 1       (gate: >= 1.5x)
-//   bench.exec.dop2.ns       batch path, dop 2
-//   bench.exec.dop4.ns       batch path, dop 4
-//   bench.exec.parallel.ns   batch path, dop 8       (gate: >= 3x)
+// Histograms (scripts/bench_compare.py --exec-scaling reports each as a
+// ratio over its dop-1 counterpart):
+//   bench.exec.batch.ns      dop 1
+//   bench.exec.dop2.ns       dop 2
+//   bench.exec.dop4.ns       dop 4
+//   bench.exec.parallel.ns   dop 8
 //   bench.exec.join_distinct.ns / join_eliminated.ns (serial)
 //   bench.exec.join_distinct_dop8.ns / join_eliminated_dop8.ns
 
@@ -27,27 +25,24 @@ namespace {
 constexpr size_t kSuppliers = 100000;
 constexpr size_t kPartsPerSupplier = 1;
 
-// Range-predicate scan, the classic vectorization-friendly shape: the
-// tuple path copies each 5-column row out of storage and interprets the
-// Expr tree per row (two operand Value copies per comparison), the
-// batch path borrows storage slices and runs the compiled
-// PredicateProgram's inline integer loops over each selection vector.
+// Range-predicate scan, the classic vectorization-friendly shape: scans
+// borrow storage slices and the compiled PredicateProgram runs inline
+// integer loops over each selection vector.
 const char* kScanFilterAggSql =
     "SELECT COUNT(*), MIN(SNO) FROM SUPPLIER "
     "WHERE SNO >= 10000 AND SNO < 50000";
 
-PhysicalOptions MakePhysical(size_t batch_size, unsigned dop) {
+PhysicalOptions MakePhysical(unsigned dop) {
   PhysicalOptions physical;
-  physical.batch_size = batch_size;
   physical.dop = dop;
   return physical;
 }
 
 void RunScanFilterAgg(::benchmark::State& state, const char* series,
-                      size_t batch_size, unsigned dop) {
+                      unsigned dop) {
   const Database& db = GetSupplierDb(kSuppliers, kPartsPerSupplier);
   PlanPtr plan = MustBind(db, kScanFilterAggSql);
-  PhysicalOptions physical = MakePhysical(batch_size, dop);
+  PhysicalOptions physical = MakePhysical(dop);
   obs::Histogram& latency =
       obs::MetricsRegistry::Global().GetHistogram(series);
   size_t rows = 0;
@@ -58,33 +53,23 @@ void RunScanFilterAgg(::benchmark::State& state, const char* series,
   state.counters["rows"] = static_cast<double>(rows);
 }
 
-void BM_ScanFilterAgg_SerialTuple(::benchmark::State& state) {
-  RunScanFilterAgg(state, "bench.exec.serial.ns", /*batch_size=*/0,
-                   /*dop=*/1);
-}
-BENCHMARK(BM_ScanFilterAgg_SerialTuple);
-
 void BM_ScanFilterAgg_Batch(::benchmark::State& state) {
-  RunScanFilterAgg(state, "bench.exec.batch.ns", /*batch_size=*/1024,
-                   /*dop=*/1);
+  RunScanFilterAgg(state, "bench.exec.batch.ns", /*dop=*/1);
 }
 BENCHMARK(BM_ScanFilterAgg_Batch);
 
 void BM_ScanFilterAgg_Dop2(::benchmark::State& state) {
-  RunScanFilterAgg(state, "bench.exec.dop2.ns", /*batch_size=*/1024,
-                   /*dop=*/2);
+  RunScanFilterAgg(state, "bench.exec.dop2.ns", /*dop=*/2);
 }
 BENCHMARK(BM_ScanFilterAgg_Dop2);
 
 void BM_ScanFilterAgg_Dop4(::benchmark::State& state) {
-  RunScanFilterAgg(state, "bench.exec.dop4.ns", /*batch_size=*/1024,
-                   /*dop=*/4);
+  RunScanFilterAgg(state, "bench.exec.dop4.ns", /*dop=*/4);
 }
 BENCHMARK(BM_ScanFilterAgg_Dop4);
 
 void BM_ScanFilterAgg_Dop8(::benchmark::State& state) {
-  RunScanFilterAgg(state, "bench.exec.parallel.ns", /*batch_size=*/1024,
-                   /*dop=*/8);
+  RunScanFilterAgg(state, "bench.exec.parallel.ns", /*dop=*/8);
 }
 BENCHMARK(BM_ScanFilterAgg_Dop8);
 
@@ -102,7 +87,7 @@ void RunJoin(::benchmark::State& state, const char* series, bool eliminate,
   const Database& db = GetSupplierDb(kSuppliers, kPartsPerSupplier);
   PlanPtr plan = MustBind(db, kJoinDistinctSql);
   if (eliminate) plan = MustRewrite(plan);
-  PhysicalOptions physical = MakePhysical(/*batch_size=*/1024, dop);
+  PhysicalOptions physical = MakePhysical(dop);
   obs::Histogram& latency =
       obs::MetricsRegistry::Global().GetHistogram(series);
   size_t rows = 0;

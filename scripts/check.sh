@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Repo verification: the tier-1 test suite, plus an ASan/UBSan build of
-# the observability tests (the registry, tracer and flight recorder are
-# the concurrent code in the tree — sanitize them every time).
+# Repo verification: the tier-1 test suite, the same suite built and run
+# as -DCMAKE_BUILD_TYPE=Release (-O3, where GCC's optimizer-driven
+# warnings meet the -Werror modules), plus an ASan/UBSan build of the
+# observability tests (the registry, tracer and flight recorder are the
+# concurrent code in the tree — sanitize them every time).
 #
 # Optional modes:
 #   --tsan        additionally build & run the concurrent obs tests and
@@ -13,7 +15,8 @@
 #                 (the formerly racy NDV cache under concurrent
 #                 DistinctCount) and parallel_exec_test (concurrent
 #                 PrepareBatch + morsel-parallel Execute, shared join
-#                 builds, the differential serial-vs-parallel sweep),
+#                 builds, the sweep comparing serial and parallel runs
+#                 against the reference interpreter),
 #                 plus the DML plane hammers: dml_test and
 #                 dml_oracle_test (8 threads of single-writer commits
 #                 racing snapshot readers over the COW table versions)
@@ -27,9 +30,8 @@
 #                 equiv-prover-on vs prover-off cold-prepare p50 ratio,
 #                 which must stay <= 1.3x: certifying every rewrite must
 #                 remain a small tax — the parallel-exec scaling
-#                 gates: batch dop-1 p50 >= 1.5x over tuple-at-a-time
-#                 serial and morsel-parallel dop-8 p50 >= 3x, via
-#                 bench_compare.py --exec-scaling — and the index-exec
+#                 ratios (dop-N p50 over dop-1, reported, not gated),
+#                 via bench_compare.py --exec-scaling — and the index-exec
 #                 gates: unique-index point lookup p50 >= 10x over the
 #                 full scan and the build-free unique-index join no
 #                 slower than the classic hash join, via
@@ -103,6 +105,11 @@ echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+echo "== release: -DCMAKE_BUILD_TYPE=Release build + ctest =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j
+ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 
 echo "== plan verifier: differential sweep over the random workload =="
 ./build/tests/verify_test --gtest_filter='*VerifySweepTest*' \
@@ -231,8 +238,8 @@ if [[ "$RUN_BENCH_GATE" == 1 ]]; then
     fi
     summaries+=("$summary")
   done
-  # Scaling invariants of the parallel execution layer: ratios within
-  # one run, so they gate on any machine speed.
+  # Scaling of the parallel execution layer: dop-N over dop-1 ratios
+  # within one run, reported only.
   if ! python3 scripts/bench_compare.py --exec-scaling \
       --current build/bench-gate/bench_parallel_exec.json \
       --summary build/bench-gate/exec_scaling.summary.json; then
@@ -303,17 +310,13 @@ except (OSError, KeyError) as e:
     equiv = equiv or {"ok": False, "error": str(e)}
     ok = False
 
-# Parallel execution scaling: batch dop-1 >= 1.5x and morsel-parallel
-# dop-8 >= 3x over the tuple-at-a-time serial p50, as judged by
+# Parallel execution scaling: dop-N p50 over dop-1, as reported by
 # bench_compare.py --exec-scaling on the same metrics dump.
 try:
     with open("build/bench-gate/exec_scaling.summary.json") as f:
         s = json.load(f)
     exec_scaling = {
-        "speedups_vs_serial": s["exec_scaling"]["speedups_vs_serial"],
-        "batch_speedup_floor": s["exec_scaling"]["batch_speedup_floor"],
-        "parallel_speedup_floor":
-            s["exec_scaling"]["parallel_speedup_floor"],
+        "speedups_vs_dop1": s["exec_scaling"]["speedups_vs_dop1"],
         "regressions": s["regressions"],
         "ok": s["ok"],
     }

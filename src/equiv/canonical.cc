@@ -7,6 +7,21 @@ namespace uniqopt {
 namespace equiv {
 namespace {
 
+/// Appends every piece to `*out`. Text is built by appending rather than
+/// with `std::string operator+` chains, on which GCC 12 at -O3 reports a
+/// false -Wrestrict (fatal under this module's -Werror).
+template <typename... Pieces>
+void Append(std::string* out, const Pieces&... pieces) {
+  (out->append(pieces), ...);
+}
+
+template <typename... Pieces>
+std::string Cat(const Pieces&... pieces) {
+  std::string out;
+  Append(&out, pieces...);
+  return out;
+}
+
 void AppendSorted(std::vector<std::string> parts, const char* joiner,
                   std::string* out) {
   std::sort(parts.begin(), parts.end());
@@ -33,9 +48,9 @@ std::string CanonicalExprText(const ExprPtr& expr) {
     case ExprKind::kLiteral:
       return expr->literal().ToString();
     case ExprKind::kColumnRef:
-      return "#" + std::to_string(expr->column_index());
+      return Cat("#", std::to_string(expr->column_index()));
     case ExprKind::kHostVar:
-      return ":" + std::to_string(expr->host_var_index());
+      return Cat(":", std::to_string(expr->host_var_index()));
     case ExprKind::kComparison: {
       std::string l = CanonicalExprText(expr->child(0));
       std::string r = CanonicalExprText(expr->child(1));
@@ -44,7 +59,7 @@ std::string CanonicalExprText(const ExprPtr& expr) {
         std::swap(l, r);
         op = FlipCompareOp(op);
       }
-      return "(" + l + " " + CompareOpToString(op) + " " + r + ")";
+      return Cat("(", l, " ", CompareOpToString(op), " ", r, ")");
     }
     case ExprKind::kAnd:
     case ExprKind::kOr: {
@@ -59,11 +74,11 @@ std::string CanonicalExprText(const ExprPtr& expr) {
       return out;
     }
     case ExprKind::kNot:
-      return "(NOT " + CanonicalExprText(expr->child(0)) + ")";
+      return Cat("(NOT ", CanonicalExprText(expr->child(0)), ")");
     case ExprKind::kIsNull:
-      return "(" + CanonicalExprText(expr->child(0)) + " IS NULL)";
+      return Cat("(", CanonicalExprText(expr->child(0)), " IS NULL)");
     case ExprKind::kIsNotNull:
-      return "(" + CanonicalExprText(expr->child(0)) + " IS NOT NULL)";
+      return Cat("(", CanonicalExprText(expr->child(0)), " IS NOT NULL)");
   }
   return "?";
 }
@@ -84,7 +99,7 @@ std::string CanonicalPlanText(const PlanPtr& plan) {
   switch (plan->kind()) {
     case PlanKind::kGet: {
       const auto* get = As<GetNode>(plan);
-      return "get(" + get->table().name() + " " + get->alias() + ")";
+      return Cat("get(", get->table().name(), " ", get->alias(), ")");
     }
     case PlanKind::kSelect: {
       const auto* sel = As<SelectNode>(plan);
@@ -95,7 +110,7 @@ std::string CanonicalPlanText(const PlanPtr& plan) {
         if (i) out += ",";
         out += conjuncts[i];
       }
-      out += "}," + CanonicalPlanText(sel->input()) + ")";
+      Append(&out, "},", CanonicalPlanText(sel->input()), ")");
       return out;
     }
     case PlanKind::kProject: {
@@ -107,20 +122,20 @@ std::string CanonicalPlanText(const PlanPtr& plan) {
         if (i) out += ",";
         out += std::to_string(proj->columns()[i]);
       }
-      out += "]," + CanonicalPlanText(proj->input()) + ")";
+      Append(&out, "],", CanonicalPlanText(proj->input()), ")");
       return out;
     }
     case PlanKind::kProduct: {
       const auto* prod = As<ProductNode>(plan);
-      return "product(" + CanonicalPlanText(prod->left()) + "," +
-             CanonicalPlanText(prod->right()) + ")";
+      return Cat("product(", CanonicalPlanText(prod->left()), ",",
+                 CanonicalPlanText(prod->right()), ")");
     }
     case PlanKind::kExists: {
       const auto* exists = As<ExistsNode>(plan);
       std::string out = exists->negated() ? "not_exists(" : "exists(";
-      out += CanonicalExprText(exists->correlation()) + "," +
-             CanonicalPlanText(exists->outer()) + "," +
-             CanonicalPlanText(exists->sub()) + ")";
+      Append(&out, CanonicalExprText(exists->correlation()), ",",
+             CanonicalPlanText(exists->outer()), ",",
+             CanonicalPlanText(exists->sub()), ")");
       return out;
     }
     case PlanKind::kSetOp: {
@@ -128,8 +143,8 @@ std::string CanonicalPlanText(const PlanPtr& plan) {
       std::string out =
           setop->op() == SetOpAlgebra::kIntersect ? "intersect" : "except";
       out += setop->mode() == DuplicateMode::kDist ? "_dist(" : "_all(";
-      out += CanonicalPlanText(setop->left()) + "," +
-             CanonicalPlanText(setop->right()) + ")";
+      Append(&out, CanonicalPlanText(setop->left()), ",",
+             CanonicalPlanText(setop->right()), ")");
       return out;
     }
     case PlanKind::kAggregate: {
@@ -145,10 +160,10 @@ std::string CanonicalPlanText(const PlanPtr& plan) {
         if (i) out += ",";
         out += AggFuncToString(item.func);
         if (item.func != AggFunc::kCountStar) {
-          out += "#" + std::to_string(item.arg_column);
+          Append(&out, "#", std::to_string(item.arg_column));
         }
       }
-      out += "]," + CanonicalPlanText(agg->input()) + ")";
+      Append(&out, "],", CanonicalPlanText(agg->input()), ")");
       return out;
     }
   }

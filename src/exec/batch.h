@@ -31,15 +31,13 @@ namespace uniqopt {
 ///
 /// `capacity` is a fill target, not a hard limit: producers stop
 /// appending once `size() >= capacity()`, but a single production step
-/// (e.g. one probe row matching many build rows) may overshoot.
+/// (e.g. one hash-join probe batch matching many build rows) may
+/// overshoot.
 class RowBatch {
  public:
   static constexpr size_t kDefaultBatchSize = 1024;
 
-  explicit RowBatch(size_t capacity = kDefaultBatchSize)
-      : capacity_(capacity == 0 ? kDefaultBatchSize : capacity) {}
-
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return kDefaultBatchSize; }
   /// Number of selected (visible) rows.
   size_t size() const { return selection_.size(); }
   bool empty() const { return selection_.empty(); }
@@ -82,7 +80,6 @@ class RowBatch {
   const std::vector<uint32_t>& selection() const { return selection_; }
 
  private:
-  size_t capacity_;
   const Row* data_ = nullptr;  ///< borrowed span, or owned_.data()
   size_t data_size_ = 0;
   std::vector<Row> owned_;

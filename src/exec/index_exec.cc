@@ -130,7 +130,7 @@ IndexLookupOp::IndexLookupOp(const Table* table, Schema schema,
       key_name_(std::move(key_name)) {}
 
 Status IndexLookupOp::Open(ExecContext* ctx) {
-  match_.reset();
+  match_ = nullptr;
   snapshot_ = table_->Snapshot();
   const UniqueIndex& index = snapshot_->indexes.at(key_index_);
   std::vector<Value> key_values;
@@ -154,19 +154,19 @@ Status IndexLookupOp::Open(ExecContext* ctx) {
       residual_->EvaluatePredicate(row, ctx->params) != Tribool::kTrue) {
     return Status::OK();
   }
-  match_ = row;
+  match_ = &row;
   return Status::OK();
 }
 
-Result<bool> IndexLookupOp::Next(ExecContext* ctx, Row* row) {
-  (void)ctx;
-  if (!match_.has_value()) return false;
-  *row = std::move(*match_);
-  match_.reset();
+Result<bool> IndexLookupOp::NextBatch(ExecContext*, RowBatch* out) {
+  out->Reset();
+  if (match_ == nullptr) return false;
+  out->Borrow(match_, 1);
+  match_ = nullptr;
   return true;
 }
 
-void IndexLookupOp::Close() { match_.reset(); }
+void IndexLookupOp::Close() { match_ = nullptr; }
 
 // ---------------------------------------------------------------------------
 // UniqueIndexJoinOp
@@ -194,15 +194,21 @@ Status UniqueIndexJoinOp::Open(ExecContext* ctx) {
   for (size_t col : index.key_columns()) {
     key_types_.push_back(right_table_->def().schema().column(col).type);
   }
+  left_batch_.Reset();
+  left_pos_ = 0;
   return left_->Open(ctx);
 }
 
-Result<bool> UniqueIndexJoinOp::Next(ExecContext* ctx, Row* row) {
+Result<bool> UniqueIndexJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
+  out->Reset();
   const UniqueIndex& index = snapshot_->indexes.at(key_index_);
-  Row left_row;
-  while (true) {
-    UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row));
-    if (!more) return false;
+  while (out->size() < out->capacity()) {
+    if (left_pos_ >= left_batch_.size()) {
+      UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->NextBatch(ctx, &left_batch_));
+      if (!more) break;
+      left_pos_ = 0;
+    }
+    const Row& left_row = left_batch_.row(left_pos_++);
     std::vector<Value> key_values;
     key_values.reserve(left_keys_.size());
     bool probeable = true;
@@ -229,14 +235,14 @@ Result<bool> UniqueIndexJoinOp::Next(ExecContext* ctx, Row* row) {
             Tribool::kTrue) {
       continue;
     }
-    Row out = Row::Concat(left_row, right_row);
+    Row joined = Row::Concat(left_row, right_row);
     if (residual_ != nullptr &&
-        residual_->EvaluatePredicate(out, ctx->params) != Tribool::kTrue) {
+        residual_->EvaluatePredicate(joined, ctx->params) != Tribool::kTrue) {
       continue;
     }
-    *row = std::move(out);
-    return true;
+    out->Append(std::move(joined));
   }
+  return !out->empty();
 }
 
 void UniqueIndexJoinOp::Close() { left_->Close(); }

@@ -81,7 +81,8 @@ class IndexLookupOp final : public Operator {
                 std::string key_name);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
+  /// Borrows the matched row from the pinned snapshot — zero copies.
+  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override {
     return "IndexLookup(" + key_name_ + ")";
@@ -96,7 +97,7 @@ class IndexLookupOp final : public Operator {
   /// Pinned for the lifetime of the operator so a borrowed matched row
   /// stays valid across a concurrent writer's commit.
   TableSnapshot snapshot_;
-  std::optional<Row> match_;
+  const Row* match_ = nullptr;  ///< into snapshot_, until emitted
 };
 
 /// Join probing the build side's unique index instead of building a hash
@@ -113,7 +114,9 @@ class UniqueIndexJoinOp final : public Operator {
                     ExprPtr residual, std::string key_name);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
+  /// Appends at most one concatenated row per left row up to the batch
+  /// capacity, resuming mid-left-batch on the next call.
+  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override {
     return "UniqueIndexJoin(" + key_name_ + ")";
@@ -130,6 +133,8 @@ class UniqueIndexJoinOp final : public Operator {
   /// Key-column types of the build side, for probe-value coercion.
   std::vector<TypeId> key_types_;
   TableSnapshot snapshot_;
+  RowBatch left_batch_;
+  size_t left_pos_ = 0;  ///< next unprobed row of left_batch_
 };
 
 }  // namespace uniqopt

@@ -46,23 +46,16 @@ struct ExecStats {
   std::string ToString() const;
 };
 
-/// Per-execution context: host variable values (the paper's `h`), the
-/// stats sink, and the batch size driving the vectorized path (0 =
-/// tuple-at-a-time).
+/// Per-execution context: host variable values (the paper's `h`) and
+/// the stats sink.
 struct ExecContext {
   std::vector<Value> params;
   ExecStats stats;
-  /// When > 0, ExecuteToVector and the materializing operators drive
-  /// their inputs through NextBatch with batches of this many rows.
-  size_t batch_size = 0;
 };
 
-/// Volcano-style iterator. Usage: Open → Next until false → Close.
-/// Operators own their children. A batch-at-a-time path (NextBatch) is
-/// layered on top: operators with a vectorized implementation override
-/// it, everything else falls back to looping Next so exotic operators
-/// keep working unchanged. An operator instance is driven in exactly
-/// one of the two modes per execution.
+/// Batch-at-a-time iterator. Usage: Open → NextBatch until false →
+/// Close. Operators own their children and pull from them one RowBatch
+/// (of capacity RowBatch::kDefaultBatchSize) at a time.
 class Operator {
  public:
   explicit Operator(Schema schema) : schema_(std::move(schema)) {}
@@ -74,23 +67,13 @@ class Operator {
   const Schema& schema() const { return schema_; }
 
   virtual Status Open(ExecContext* ctx) = 0;
-  /// Produces the next row into `*row`; returns false at end of stream.
-  virtual Result<bool> Next(ExecContext* ctx, Row* row) = 0;
-  virtual void Close() = 0;
 
   /// Produces the next batch of rows into `*out` (after resetting it).
   /// Returns false exactly at end of stream, with `*out` empty; a true
   /// return carries at least one row (possibly fewer than capacity).
-  virtual Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) {
-    out->Reset();
-    Row row;
-    while (out->size() < out->capacity()) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, Next(ctx, &row));
-      if (!more) break;
-      out->Append(std::move(row));
-    }
-    return !out->empty();
-  }
+  virtual Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) = 0;
+
+  virtual void Close() = 0;
 
   /// Operator name for EXPLAIN-style output.
   virtual std::string name() const = 0;
@@ -101,8 +84,11 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Drains `op` into a vector (Open/Next/Close), counting output rows.
-/// Uses the batch path when ctx->batch_size > 0.
+/// Drains `op` into a vector (Open/NextBatch/Close).
+Result<std::vector<Row>> Drain(Operator* op, ExecContext* ctx);
+
+/// Drains the root operator `op` into a vector, counting its rows into
+/// ctx->stats.rows_output.
 Result<std::vector<Row>> ExecuteToVector(Operator* op, ExecContext* ctx);
 
 }  // namespace uniqopt

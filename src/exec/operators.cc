@@ -19,57 +19,45 @@ std::string ExecStats::ToString() const {
   return out;
 }
 
-Result<std::vector<Row>> ExecuteToVector(Operator* op, ExecContext* ctx) {
+Result<std::vector<Row>> Drain(Operator* op, ExecContext* ctx) {
   UNIQOPT_RETURN_NOT_OK(op->Open(ctx));
-  std::vector<Row> out;
-  if (ctx->batch_size > 0) {
-    RowBatch batch(ctx->batch_size);
-    while (true) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, op->NextBatch(ctx, &batch));
-      if (!more) break;
-      for (size_t i = 0; i < batch.size(); ++i) out.push_back(batch.row(i));
-    }
-  } else {
-    Row row;
-    while (true) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, op->Next(ctx, &row));
-      if (!more) break;
-      out.push_back(row);
-    }
+  std::vector<Row> rows;
+  RowBatch batch;
+  while (true) {
+    UNIQOPT_ASSIGN_OR_RETURN(bool more, op->NextBatch(ctx, &batch));
+    if (!more) break;
+    for (size_t i = 0; i < batch.size(); ++i) rows.push_back(batch.row(i));
   }
   op->Close();
-  ctx->stats.rows_output += out.size();
-  return out;
+  return rows;
+}
+
+Result<std::vector<Row>> ExecuteToVector(Operator* op, ExecContext* ctx) {
+  UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> rows, Drain(op, ctx));
+  ctx->stats.rows_output += rows.size();
+  return rows;
 }
 
 namespace {
 
-size_t BatchCapacity(const ExecContext* ctx) {
-  return ctx->batch_size > 0 ? ctx->batch_size : RowBatch::kDefaultBatchSize;
-}
-
-/// Drains a child operator into a vector, via the batch path when the
-/// context enables it.
-Result<std::vector<Row>> Drain(Operator* op, ExecContext* ctx) {
-  UNIQOPT_RETURN_NOT_OK(op->Open(ctx));
-  std::vector<Row> rows;
-  if (ctx->batch_size > 0) {
-    RowBatch batch(ctx->batch_size);
-    while (true) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, op->NextBatch(ctx, &batch));
-      if (!more) break;
-      for (size_t i = 0; i < batch.size(); ++i) rows.push_back(batch.row(i));
+/// Pulls batches from `child` into `out`, compacting each selection
+/// vector in place to the rows for which `keep` holds, until a batch
+/// keeps at least one row (true) or the input ends (false). For
+/// operators that pass their input rows through unchanged.
+template <typename Keep>
+Result<bool> NextKept(Operator* child, ExecContext* ctx, RowBatch* out,
+                      Keep keep) {
+  while (true) {
+    UNIQOPT_ASSIGN_OR_RETURN(bool more, child->NextBatch(ctx, out));
+    if (!more) return false;
+    std::vector<uint32_t>& sel = out->selection();
+    size_t kept = 0;
+    for (uint32_t idx : sel) {
+      if (keep(out->data()[idx])) sel[kept++] = idx;
     }
-  } else {
-    Row row;
-    while (true) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, op->Next(ctx, &row));
-      if (!more) break;
-      rows.push_back(row);
-    }
+    sel.resize(kept);
+    if (kept > 0) return true;  // else pull the next batch
   }
-  op->Close();
-  return rows;
 }
 
 }  // namespace
@@ -84,13 +72,6 @@ Status TableScanOp::Open(ExecContext*) {
   snapshot_ = table_->Snapshot();
   pos_ = 0;
   return Status::OK();
-}
-
-Result<bool> TableScanOp::Next(ExecContext* ctx, Row* row) {
-  if (pos_ >= snapshot_->rows.size()) return false;
-  *row = snapshot_->rows[pos_++];
-  ++ctx->stats.rows_scanned;
-  return true;
 }
 
 Result<bool> TableScanOp::NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -108,18 +89,8 @@ void TableScanOp::Close() {}
 
 // ------------------------------------------------------------------- Filter
 Status FilterOp::Open(ExecContext* ctx) {
-  if (ctx->batch_size > 0) program_ = PredicateProgram::Compile(predicate_);
+  program_ = PredicateProgram::Compile(predicate_);
   return child_->Open(ctx);
-}
-
-Result<bool> FilterOp::Next(ExecContext* ctx, Row* row) {
-  while (true) {
-    UNIQOPT_ASSIGN_OR_RETURN(bool more, child_->Next(ctx, row));
-    if (!more) return false;
-    if (predicate_->EvaluatePredicate(*row, ctx->params) == Tribool::kTrue) {
-      return true;
-    }
-  }
 }
 
 Result<bool> FilterOp::NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -134,18 +105,7 @@ Result<bool> FilterOp::NextBatch(ExecContext* ctx, RowBatch* out) {
 void FilterOp::Close() { child_->Close(); }
 
 // ------------------------------------------------------------------ Project
-Status ProjectOp::Open(ExecContext* ctx) {
-  input_batch_ = RowBatch(BatchCapacity(ctx));
-  return child_->Open(ctx);
-}
-
-Result<bool> ProjectOp::Next(ExecContext* ctx, Row* row) {
-  Row input;
-  UNIQOPT_ASSIGN_OR_RETURN(bool more, child_->Next(ctx, &input));
-  if (!more) return false;
-  *row = input.Project(columns_);
-  return true;
-}
+Status ProjectOp::Open(ExecContext* ctx) { return child_->Open(ctx); }
 
 Result<bool> ProjectOp::NextBatch(ExecContext* ctx, RowBatch* out) {
   out->Reset();
@@ -170,8 +130,7 @@ Status SortDistinctOp::Open(ExecContext* ctx) {
     return a.Compare(b) < 0;
   });
   // Compact to one row per `=!`-equal group (Row::Compare treats NULLs
-  // as equal, matching `=!`); emission is then a plain slice, shared by
-  // the tuple and batch paths.
+  // as equal, matching `=!`); emission is then a plain slice.
   rows_.erase(std::unique(rows_.begin(), rows_.end(),
                           [](const Row& a, const Row& b) {
                             return a.Compare(b) == 0;
@@ -179,12 +138,6 @@ Status SortDistinctOp::Open(ExecContext* ctx) {
               rows_.end());
   pos_ = 0;
   return Status::OK();
-}
-
-Result<bool> SortDistinctOp::Next(ExecContext*, Row* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  return true;
 }
 
 Result<bool> SortDistinctOp::NextBatch(ExecContext*, RowBatch* out) {
@@ -201,17 +154,7 @@ void SortDistinctOp::Close() { rows_.clear(); }
 // ------------------------------------------------------------- HashDistinct
 Status HashDistinctOp::Open(ExecContext* ctx) {
   seen_.clear();
-  input_batch_ = RowBatch(BatchCapacity(ctx));
   return child_->Open(ctx);
-}
-
-Result<bool> HashDistinctOp::Next(ExecContext* ctx, Row* row) {
-  while (true) {
-    UNIQOPT_ASSIGN_OR_RETURN(bool more, child_->Next(ctx, row));
-    if (!more) return false;
-    ++ctx->stats.hash_probes;
-    if (seen_.insert(*row).second) return true;
-  }
 }
 
 Result<bool> HashDistinctOp::NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -225,7 +168,6 @@ Result<bool> HashDistinctOp::NextBatch(ExecContext* ctx, RowBatch* out) {
       ++ctx->stats.hash_probes;
       if (seen_.insert(row).second) out->Append(row);
     }
-    if (out->size() >= out->capacity()) return true;
     if (!out->empty()) return true;
   }
 }
@@ -239,25 +181,33 @@ void HashDistinctOp::Close() {
 Status NestedLoopProductOp::Open(ExecContext* ctx) {
   UNIQOPT_ASSIGN_OR_RETURN(right_rows_, Drain(right_.get(), ctx));
   UNIQOPT_RETURN_NOT_OK(left_->Open(ctx));
-  have_left_ = false;
+  left_batch_.Reset();
+  left_pos_ = 0;
   right_pos_ = 0;
   return Status::OK();
 }
 
-Result<bool> NestedLoopProductOp::Next(ExecContext* ctx, Row* row) {
-  while (true) {
-    if (!have_left_ || right_pos_ >= right_rows_.size()) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row_));
-      if (!more) return false;
-      have_left_ = true;
+Result<bool> NestedLoopProductOp::NextBatch(ExecContext* ctx,
+                                            RowBatch* out) {
+  out->Reset();
+  while (out->size() < out->capacity()) {
+    if (left_pos_ >= left_batch_.size()) {
+      UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->NextBatch(ctx, &left_batch_));
+      if (!more) break;
+      left_pos_ = 0;
       right_pos_ = 0;
     }
-    if (right_pos_ < right_rows_.size()) {
+    const Row& left_row = left_batch_.row(left_pos_);
+    while (right_pos_ < right_rows_.size() && out->size() < out->capacity()) {
       ++ctx->stats.inner_loop_rows;
-      *row = Row::Concat(left_row_, right_rows_[right_pos_++]);
-      return true;
+      out->Append(Row::Concat(left_row, right_rows_[right_pos_++]));
+    }
+    if (right_pos_ >= right_rows_.size()) {
+      ++left_pos_;
+      right_pos_ = 0;
     }
   }
+  return !out->empty();
 }
 
 void NestedLoopProductOp::Close() {
@@ -277,37 +227,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
     ++ctx->stats.hash_build_rows;
     build_.emplace(std::move(key), std::move(r));
   }
-  UNIQOPT_RETURN_NOT_OK(left_->Open(ctx));
-  have_left_ = false;
-  probe_batch_ = RowBatch(BatchCapacity(ctx));
-  return Status::OK();
-}
-
-Result<bool> HashJoinOp::Next(ExecContext* ctx, Row* row) {
-  while (true) {
-    if (!have_left_) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row_));
-      if (!more) return false;
-      Row key = left_row_.Project(left_keys_);
-      bool has_null = false;
-      for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-      ++ctx->stats.hash_probes;
-      matches_ = has_null ? std::make_pair(build_.end(), build_.end())
-                          : build_.equal_range(key);
-      have_left_ = true;
-    }
-    while (matches_.first != matches_.second) {
-      Row candidate = Row::Concat(left_row_, matches_.first->second);
-      ++matches_.first;
-      if (residual_ == nullptr ||
-          residual_->EvaluatePredicate(candidate, ctx->params) ==
-              Tribool::kTrue) {
-        *row = std::move(candidate);
-        return true;
-      }
-    }
-    have_left_ = false;
-  }
+  return left_->Open(ctx);
 }
 
 Result<bool> HashJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -348,22 +268,23 @@ Status NestedLoopSemiJoinOp::Open(ExecContext* ctx) {
   return outer_->Open(ctx);
 }
 
-Result<bool> NestedLoopSemiJoinOp::Next(ExecContext* ctx, Row* row) {
-  while (true) {
-    UNIQOPT_ASSIGN_OR_RETURN(bool more, outer_->Next(ctx, row));
-    if (!more) return false;
-    bool found = false;
-    for (const Row& inner : inner_rows_) {
-      ++ctx->stats.inner_loop_rows;
-      Row combined = Row::Concat(*row, inner);
-      if (correlation_->EvaluatePredicate(combined, ctx->params) ==
-          Tribool::kTrue) {
-        found = true;
-        break;  // EXISTS needs only one witness.
-      }
+bool NestedLoopSemiJoinOp::HasWitness(const Row& row, ExecContext* ctx) {
+  for (const Row& inner : inner_rows_) {
+    ++ctx->stats.inner_loop_rows;
+    Row combined = Row::Concat(row, inner);
+    if (correlation_->EvaluatePredicate(combined, ctx->params) ==
+        Tribool::kTrue) {
+      return true;  // EXISTS needs only one witness.
     }
-    if (found != negated_) return true;
   }
+  return false;
+}
+
+Result<bool> NestedLoopSemiJoinOp::NextBatch(ExecContext* ctx,
+                                             RowBatch* out) {
+  return NextKept(outer_.get(), ctx, out, [&](const Row& row) {
+    return HasWitness(row, ctx) != negated_;
+  });
 }
 
 void NestedLoopSemiJoinOp::Close() {
@@ -386,32 +307,28 @@ Status HashSemiJoinOp::Open(ExecContext* ctx) {
   return outer_->Open(ctx);
 }
 
-Result<bool> HashSemiJoinOp::Next(ExecContext* ctx, Row* row) {
-  while (true) {
-    UNIQOPT_ASSIGN_OR_RETURN(bool more, outer_->Next(ctx, row));
-    if (!more) return false;
-    Row key = row->Project(outer_keys_);
-    bool has_null = false;
-    for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-    bool found = false;
-    if (!has_null) {
-      ++ctx->stats.hash_probes;
-      auto [it, end] = build_.equal_range(key);
-      for (; it != end; ++it) {
-        if (residual_ == nullptr) {
-          found = true;
-          break;
-        }
-        Row combined = Row::Concat(*row, it->second);
-        if (residual_->EvaluatePredicate(combined, ctx->params) ==
-            Tribool::kTrue) {
-          found = true;
-          break;
-        }
-      }
-    }
-    if (found != negated_) return true;
+bool HashSemiJoinOp::HasWitness(const Row& row, ExecContext* ctx) {
+  Row key = row.Project(outer_keys_);
+  for (size_t i = 0; i < key.size(); ++i) {
+    if (key[i].is_null()) return false;  // NULL keys never match
   }
+  ++ctx->stats.hash_probes;
+  auto [it, end] = build_.equal_range(key);
+  for (; it != end; ++it) {
+    if (residual_ == nullptr) return true;
+    Row combined = Row::Concat(row, it->second);
+    if (residual_->EvaluatePredicate(combined, ctx->params) ==
+        Tribool::kTrue) {
+      return true;
+    }
+  }
+  return false;
+}
+
+Result<bool> HashSemiJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
+  return NextKept(outer_.get(), ctx, out, [&](const Row& row) {
+    return HasWitness(row, ctx) != negated_;
+  });
 }
 
 void HashSemiJoinOp::Close() {
@@ -431,37 +348,27 @@ Status SetOpOp::Open(ExecContext* ctx) {
   return left_->Open(ctx);
 }
 
-Result<bool> SetOpOp::Next(ExecContext* ctx, Row* row) {
-  while (true) {
-    UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, row));
-    if (!more) return false;
-    ++ctx->stats.hash_probes;
-    auto it = right_counts_.find(*row);
-    size_t right_count = it == right_counts_.end() ? 0 : it->second;
-    if (op_ == SetOpAlgebra::kIntersect) {
-      if (mode_ == DuplicateMode::kDist) {
-        // r0 ∈ result iff it occurs in both; emit once.
-        if (right_count > 0 && emitted_.insert(*row).second) return true;
-      } else {
-        // INTERSECT ALL: min(j, k) occurrences.
-        if (right_count > 0) {
-          --it->second;
-          return true;
-        }
-      }
-    } else {  // EXCEPT
-      if (mode_ == DuplicateMode::kDist) {
-        if (right_count == 0 && emitted_.insert(*row).second) return true;
-      } else {
-        // EXCEPT ALL: max(j − k, 0) occurrences.
-        if (right_count > 0) {
-          --it->second;
-        } else {
-          return true;
-        }
-      }
-    }
+bool SetOpOp::Keep(const Row& row, ExecStats* stats) {
+  ++stats->hash_probes;
+  auto it = right_counts_.find(row);
+  size_t right_count = it == right_counts_.end() ? 0 : it->second;
+  if (mode_ == DuplicateMode::kDist) {
+    // INTERSECT: r0 ∈ result iff it occurs in both; EXCEPT: iff only
+    // left. Either way emit once.
+    bool member = op_ == SetOpAlgebra::kIntersect ? right_count > 0
+                                                  : right_count == 0;
+    return member && emitted_.insert(row).second;
   }
+  // INTERSECT ALL: min(j, k) occurrences; EXCEPT ALL: max(j − k, 0).
+  // Each left copy consumes one right copy while any remain.
+  if (right_count > 0) --it->second;
+  return (op_ == SetOpAlgebra::kIntersect) == (right_count > 0);
+}
+
+Result<bool> SetOpOp::NextBatch(ExecContext* ctx, RowBatch* out) {
+  return NextKept(left_.get(), ctx, out, [&](const Row& row) {
+    return Keep(row, &ctx->stats);
+  });
 }
 
 void SetOpOp::Close() {
@@ -637,34 +544,19 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   pos_ = 0;
   GroupedAggregator agg(child_->schema(), group_columns_, aggregates_);
   UNIQOPT_RETURN_NOT_OK(child_->Open(ctx));
-  if (ctx->batch_size > 0) {
-    // Accumulate straight off borrowed batches — no materialization of
-    // the input, no per-row copies.
-    RowBatch batch(ctx->batch_size);
-    while (true) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, &batch));
-      if (!more) break;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        agg.Accumulate(batch.row(i), &ctx->stats);
-      }
-    }
-  } else {
-    Row row;
-    while (true) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, child_->Next(ctx, &row));
-      if (!more) break;
-      agg.Accumulate(row, &ctx->stats);
+  // Accumulate straight off borrowed batches — no materialization of
+  // the input, no per-row copies.
+  RowBatch batch;
+  while (true) {
+    UNIQOPT_ASSIGN_OR_RETURN(bool more, child_->NextBatch(ctx, &batch));
+    if (!more) break;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      agg.Accumulate(batch.row(i), &ctx->stats);
     }
   }
   child_->Close();
   output_ = agg.Finalize();
   return Status::OK();
-}
-
-Result<bool> HashAggregateOp::Next(ExecContext*, Row* row) {
-  if (pos_ >= output_.size()) return false;
-  *row = output_[pos_++];
-  return true;
 }
 
 Result<bool> HashAggregateOp::NextBatch(ExecContext*, RowBatch* out) {
@@ -710,12 +602,6 @@ Status SortMergeIntersectOp::Open(ExecContext* ctx) {
   }
   pos_ = 0;
   return Status::OK();
-}
-
-Result<bool> SortMergeIntersectOp::Next(ExecContext*, Row* row) {
-  if (pos_ >= out_.size()) return false;
-  *row = out_[pos_++];
-  return true;
 }
 
 Result<bool> SortMergeIntersectOp::NextBatch(ExecContext*, RowBatch* out) {

@@ -21,7 +21,6 @@ class TableScanOp final : public Operator {
       : Operator(std::move(schema)), table_(table) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
   /// Borrows a contiguous slice of the table's storage — zero copies.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
@@ -41,7 +40,10 @@ class EmptySourceOp final : public Operator {
   explicit EmptySourceOp(Schema schema) : Operator(std::move(schema)) {}
 
   Status Open(ExecContext*) override { return Status::OK(); }
-  Result<bool> Next(ExecContext*, Row*) override { return false; }
+  Result<bool> NextBatch(ExecContext*, RowBatch* out) override {
+    out->Reset();
+    return false;
+  }
   void Close() override {}
   std::string name() const override { return "EmptySource"; }
 };
@@ -55,7 +57,6 @@ class FilterOp final : public Operator {
         predicate_(std::move(predicate)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
   /// Compacts the child batch's selection vector in place — dropped
   /// rows cost nothing beyond the predicate evaluation. Runs the
   /// predicate as a compiled PredicateProgram rather than per-row tree
@@ -79,7 +80,6 @@ class ProjectOp final : public Operator {
         columns_(std::move(columns)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override { return "Project"; }
@@ -99,7 +99,6 @@ class SortDistinctOp final : public Operator {
       : Operator(child->schema()), child_(std::move(child)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext*, Row* row) override;
   /// Emits borrowed slices of the sorted, deduplicated materialization.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
@@ -118,7 +117,6 @@ class HashDistinctOp final : public Operator {
       : Operator(child->schema()), child_(std::move(child)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override { return "HashDistinct"; }
@@ -138,7 +136,9 @@ class NestedLoopProductOp final : public Operator {
         right_(std::move(right)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
+  /// Appends concatenated pairs up to the batch capacity, resuming
+  /// mid-left-batch and mid-right-side on the next call.
+  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override { return "NestedLoopProduct"; }
 
@@ -146,9 +146,9 @@ class NestedLoopProductOp final : public Operator {
   OperatorPtr left_;
   OperatorPtr right_;
   std::vector<Row> right_rows_;
-  Row left_row_;
-  bool have_left_ = false;
-  size_t right_pos_ = 0;
+  RowBatch left_batch_;
+  size_t left_pos_ = 0;   ///< next unfinished row of left_batch_
+  size_t right_pos_ = 0;  ///< next right row to pair with it
 };
 
 /// Hash equi-join (inner). Build side is the right input; rows with a
@@ -167,7 +167,6 @@ class HashJoinOp final : public Operator {
         residual_(std::move(residual)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
   /// Probes a whole input batch per call, emitting all matches.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
@@ -180,18 +179,14 @@ class HashJoinOp final : public Operator {
   std::vector<size_t> right_keys_;
   ExprPtr residual_;
   std::unordered_multimap<Row, Row, RowHash, RowNullSafeEqual> build_;
-  Row left_row_;
-  bool have_left_ = false;
-  std::pair<decltype(build_)::const_iterator,
-            decltype(build_)::const_iterator>
-      matches_;
   RowBatch probe_batch_;
 };
 
 /// Nested-loop semi (EXISTS) or anti (NOT EXISTS) join: emits each outer
 /// row once iff some / no inner row satisfies the correlation predicate
 /// (evaluated over outer ⊕ inner). The naive strategy the paper's §5.2
-/// rewrites avoid.
+/// rewrites avoid. Outer rows pass unchanged: the outer batch's
+/// selection vector is compacted in place, like FilterOp.
 class NestedLoopSemiJoinOp final : public Operator {
  public:
   NestedLoopSemiJoinOp(OperatorPtr outer, OperatorPtr inner,
@@ -203,13 +198,16 @@ class NestedLoopSemiJoinOp final : public Operator {
         negated_(negated) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
+  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override {
     return negated_ ? "NestedLoopAntiJoin" : "NestedLoopSemiJoin";
   }
 
  private:
+  /// Whether some inner row satisfies the correlation with `row`.
+  bool HasWitness(const Row& row, ExecContext* ctx);
+
   OperatorPtr outer_;
   OperatorPtr inner_;
   ExprPtr correlation_;
@@ -217,7 +215,8 @@ class NestedLoopSemiJoinOp final : public Operator {
   std::vector<Row> inner_rows_;
 };
 
-/// Hash semi/anti join on extracted equi-keys with residual predicate.
+/// Hash semi/anti join on extracted equi-keys with residual predicate;
+/// compacts the outer batch's selection vector in place.
 class HashSemiJoinOp final : public Operator {
  public:
   HashSemiJoinOp(OperatorPtr outer, OperatorPtr inner,
@@ -233,13 +232,16 @@ class HashSemiJoinOp final : public Operator {
         negated_(negated) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
+  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override {
     return negated_ ? "HashAntiJoin" : "HashSemiJoin";
   }
 
  private:
+  /// Whether some build row matches `row`'s keys and the residual.
+  bool HasWitness(const Row& row, ExecContext* ctx);
+
   OperatorPtr outer_;
   OperatorPtr inner_;
   std::vector<size_t> outer_keys_;
@@ -250,7 +252,9 @@ class HashSemiJoinOp final : public Operator {
 };
 
 /// INTERSECT [ALL] / EXCEPT [ALL] with the paper's `=!` tuple
-/// equivalence (NULL columns match NULL columns). Hash-based.
+/// equivalence (NULL columns match NULL columns). Hash-based; left rows
+/// pass unchanged, so the left batch's selection vector is compacted in
+/// place.
 class SetOpOp final : public Operator {
  public:
   SetOpOp(SetOpAlgebra op, DuplicateMode mode, OperatorPtr left,
@@ -262,11 +266,15 @@ class SetOpOp final : public Operator {
         right_(std::move(right)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
+  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override { return "SetOp"; }
 
  private:
+  /// Whether one left row is emitted; the ALL modes consume one right
+  /// occurrence per left row while any remain.
+  bool Keep(const Row& row, ExecStats* stats);
+
   SetOpAlgebra op_;
   DuplicateMode mode_;
   OperatorPtr left_;
@@ -334,7 +342,6 @@ class HashAggregateOp final : public Operator {
         aggregates_(std::move(aggregates)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext*, Row* row) override;
   /// Emits borrowed slices of the materialized aggregate output.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
@@ -359,7 +366,6 @@ class SortMergeIntersectOp final : public Operator {
         right_(std::move(right)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext*, Row* row) override;
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override { return "SortMergeIntersect"; }

@@ -28,33 +28,15 @@ Status SharedJoinBuild::EnsureBuilt(Operator* build_side, ExecContext* ctx,
     // keyed rows by hash. NULL join keys never match under 3VL `=`, so
     // they are dropped here, exactly like the serial HashJoinOp build.
     Status drain_status = [&]() -> Status {
-      UNIQOPT_RETURN_NOT_OK(build_side->Open(ctx));
-      size_t partitions = rows_.size();
-      auto add = [&](const Row& r) {
+      UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> rows, Drain(build_side, ctx));
+      for (Row& r : rows) {
         Row key = r.Project(keys);
         bool has_null = false;
         for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-        if (has_null) return;
-        size_t p = key.Hash() % partitions;
-        rows_[p].emplace_back(std::move(key), r);
-      };
-      if (ctx->batch_size > 0) {
-        RowBatch batch(ctx->batch_size);
-        while (true) {
-          UNIQOPT_ASSIGN_OR_RETURN(bool more,
-                                   build_side->NextBatch(ctx, &batch));
-          if (!more) break;
-          for (size_t i = 0; i < batch.size(); ++i) add(batch.row(i));
-        }
-      } else {
-        Row row;
-        while (true) {
-          UNIQOPT_ASSIGN_OR_RETURN(bool more, build_side->Next(ctx, &row));
-          if (!more) break;
-          add(row);
-        }
+        if (has_null) continue;
+        size_t p = key.Hash() % rows_.size();
+        rows_[p].emplace_back(std::move(key), std::move(r));
       }
-      build_side->Close();
       return Status::OK();
     }();
     std::unique_lock<std::mutex> lock(mu_);
@@ -104,40 +86,7 @@ Status SharedJoinBuild::EnsureBuilt(Operator* build_side, ExecContext* ctx,
 // ------------------------------------------------ SharedHashJoinProbeOp
 Status SharedHashJoinProbeOp::Open(ExecContext* ctx) {
   UNIQOPT_RETURN_NOT_OK(build_->EnsureBuilt(right_.get(), ctx, right_keys_));
-  UNIQOPT_RETURN_NOT_OK(left_->Open(ctx));
-  have_left_ = false;
-  probe_batch_ = RowBatch(ctx->batch_size > 0 ? ctx->batch_size
-                                              : RowBatch::kDefaultBatchSize);
-  return Status::OK();
-}
-
-Result<bool> SharedHashJoinProbeOp::Next(ExecContext* ctx, Row* row) {
-  while (true) {
-    if (!have_left_) {
-      UNIQOPT_ASSIGN_OR_RETURN(bool more, left_->Next(ctx, &left_row_));
-      if (!more) return false;
-      Row key = left_row_.Project(left_keys_);
-      bool has_null = false;
-      for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-      ++ctx->stats.hash_probes;
-      matches_ = has_null
-                     ? std::pair<SharedJoinBuild::BuildTable::const_iterator,
-                                 SharedJoinBuild::BuildTable::const_iterator>{}
-                     : build_->Probe(key);
-      have_left_ = true;
-    }
-    while (matches_.first != matches_.second) {
-      Row candidate = Row::Concat(left_row_, matches_.first->second);
-      ++matches_.first;
-      if (residual_ == nullptr ||
-          residual_->EvaluatePredicate(candidate, ctx->params) ==
-              Tribool::kTrue) {
-        *row = std::move(candidate);
-        return true;
-      }
-    }
-    have_left_ = false;
-  }
+  return left_->Open(ctx);
 }
 
 Result<bool> SharedHashJoinProbeOp::NextBatch(ExecContext* ctx,
@@ -340,7 +289,6 @@ Result<std::optional<std::vector<Row>>> TryParallelExecute(
   auto run_worker = [&](unsigned w) {
     WorkerState& ws = workers[w];
     ws.ctx.params = ctx->params;
-    ws.ctx.batch_size = options.batch_size;
     uint64_t start = NowNs();
     Operator* root = roots[w].get();
     if (mode == MergeMode::kConcat) {
@@ -363,21 +311,11 @@ Result<std::optional<std::vector<Row>>> TryParallelExecute(
           }
           ++ws.produced;
         };
-        if (ws.ctx.batch_size > 0) {
-          RowBatch batch(ws.ctx.batch_size);
-          while (true) {
-            UNIQOPT_ASSIGN_OR_RETURN(bool more,
-                                     root->NextBatch(&ws.ctx, &batch));
-            if (!more) break;
-            for (size_t i = 0; i < batch.size(); ++i) consume(batch.row(i));
-          }
-        } else {
-          Row row;
-          while (true) {
-            UNIQOPT_ASSIGN_OR_RETURN(bool more, root->Next(&ws.ctx, &row));
-            if (!more) break;
-            consume(row);
-          }
+        RowBatch batch;
+        while (true) {
+          UNIQOPT_ASSIGN_OR_RETURN(bool more, root->NextBatch(&ws.ctx, &batch));
+          if (!more) break;
+          for (size_t i = 0; i < batch.size(); ++i) consume(batch.row(i));
         }
         root->Close();
         return Status::OK();
@@ -452,8 +390,7 @@ Result<std::optional<std::vector<Row>>> TryParallelExecute(
                                             ws.produced, ws.busy_ns});
   }
   if (profile != nullptr) {
-    profile->SetParallel(dop, options.batch_size,
-                         std::move(worker_profiles));
+    profile->SetParallel(dop, std::move(worker_profiles));
   }
   return std::optional<std::vector<Row>>(std::move(out));
 }

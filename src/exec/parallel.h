@@ -52,9 +52,8 @@ class MorselCursor {
 };
 
 /// The parallel replacement for the driving TableScanOp: every claimed
-/// morsel is handed out as a zero-copy borrowed batch (or iterated
-/// tuple-at-a-time). All workers share one cursor; each op instance
-/// belongs to one worker.
+/// morsel is handed out as zero-copy borrowed batches. All workers share
+/// one cursor; each op instance belongs to one worker.
 class MorselScanOp final : public Operator {
  public:
   /// All workers receive the SAME snapshot (pinned once by the
@@ -68,16 +67,6 @@ class MorselScanOp final : public Operator {
   Status Open(ExecContext*) override {
     begin_ = end_ = 0;
     return Status::OK();
-  }
-
-  Result<bool> Next(ExecContext* ctx, Row* row) override {
-    while (begin_ >= end_) {
-      if (!cursor_->Claim(&begin_, &end_)) return false;
-      ++ctx->stats.morsels_claimed;
-    }
-    *row = snapshot_->rows[begin_++];
-    ++ctx->stats.rows_scanned;
-    return true;
   }
 
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override {
@@ -168,7 +157,6 @@ class SharedHashJoinProbeOp final : public Operator {
         build_(std::move(build)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override { return "SharedHashJoinProbe"; }
@@ -180,11 +168,6 @@ class SharedHashJoinProbeOp final : public Operator {
   std::vector<size_t> right_keys_;
   ExprPtr residual_;
   std::shared_ptr<SharedJoinBuild> build_;
-  Row left_row_;
-  bool have_left_ = false;
-  std::pair<SharedJoinBuild::BuildTable::const_iterator,
-            SharedJoinBuild::BuildTable::const_iterator>
-      matches_;
   RowBatch probe_batch_;
 };
 

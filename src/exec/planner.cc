@@ -343,7 +343,6 @@ Result<std::vector<Row>> ExecutePlan(const PlanPtr& plan, const Database& db,
     if (parallel.has_value()) return std::move(*parallel);
     // Unsupported plan shape: fall through to the serial executor.
   }
-  ctx->batch_size = options.batch_size;
   UNIQOPT_ASSIGN_OR_RETURN(OperatorPtr root,
                            CreatePhysicalPlan(plan, db, options, profile));
   return ExecuteToVector(root.get(), ctx);

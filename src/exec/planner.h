@@ -26,10 +26,6 @@ struct PhysicalOptions {
   bool sort_merge_intersect = false;
   /// Push single-side conjuncts of a Select-over-Product below the join.
   bool predicate_pushdown = true;
-  /// Rows per batch on the vectorized NextBatch path (scans hand out
-  /// zero-copy views, filters compact selection vectors). 0 reverts to
-  /// tuple-at-a-time Volcano iteration.
-  size_t batch_size = RowBatch::kDefaultBatchSize;
   /// Degree of parallelism for morsel-driven execution. With dop > 1,
   /// ExecutePlan splits the driving base-table scan into fixed-size
   /// morsels claimed by `dop` workers via an atomic cursor; plans whose
@@ -52,7 +48,6 @@ struct PhysicalOptions {
     salt |= predicate_pushdown ? 8u : 0u;
     salt |= use_indexes ? 16u : 0u;
     salt |= static_cast<uint64_t>(dop & 0xffu) << 8;
-    salt |= static_cast<uint64_t>(batch_size & 0xffffffffu) << 16;
     return salt;
   }
 };
@@ -73,8 +68,7 @@ Result<OperatorPtr> CreatePhysicalPlan(const PlanPtr& plan,
 
 /// Lower + execute in one step. With options.dop > 1 the plan runs on
 /// the morsel-driven parallel executor when its shape supports it
-/// (serial fallback otherwise); options.batch_size selects the
-/// vectorized NextBatch path in either mode.
+/// (serial fallback otherwise).
 Result<std::vector<Row>> ExecutePlan(const PlanPtr& plan, const Database& db,
                                      ExecContext* ctx,
                                      const PhysicalOptions& options = {},

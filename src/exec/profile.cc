@@ -57,18 +57,16 @@ uint64_t ExecProfile::SelfTimeNs(size_t slot) const {
   return children > total ? 0 : total - children;
 }
 
-void ExecProfile::SetParallel(unsigned dop, size_t batch_size,
+void ExecProfile::SetParallel(unsigned dop,
                               std::vector<WorkerProfile> workers) {
   parallel_dop_ = dop;
-  parallel_batch_size_ = batch_size;
   workers_ = std::move(workers);
 }
 
 std::string ExecProfile::ToText() const {
   std::string out;
   if (parallel_dop_ > 0) {
-    out += "  Gather  dop=" + std::to_string(parallel_dop_) +
-           " batch_size=" + std::to_string(parallel_batch_size_) + "\n";
+    out += "  Gather  dop=" + std::to_string(parallel_dop_) + "\n";
     for (size_t w = 0; w < workers_.size(); ++w) {
       const WorkerProfile& wp = workers_[w];
       out += "    worker " + std::to_string(w) +
@@ -101,16 +99,6 @@ Status ProfileOp::Open(ExecContext* ctx) {
   Status status = child_->Open(ctx);
   profile_->op(slot_).time_ns += NowNs() - start;
   return status;
-}
-
-Result<bool> ProfileOp::Next(ExecContext* ctx, Row* row) {
-  uint64_t start = NowNs();
-  Result<bool> produced = child_->Next(ctx, row);
-  OpProfile& op = profile_->op(slot_);
-  op.time_ns += NowNs() - start;
-  ++op.next_calls;
-  if (produced.ok() && *produced) ++op.rows_out;
-  return produced;
 }
 
 Result<bool> ProfileOp::NextBatch(ExecContext* ctx, RowBatch* out) {

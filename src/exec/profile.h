@@ -14,8 +14,9 @@ struct OpProfile {
   std::string name;
   int depth = 0;           ///< nesting depth in the operator tree
   uint64_t rows_out = 0;   ///< rows this operator produced
-  uint64_t next_calls = 0; ///< Next() invocations (rows_out + 1 usually)
-  uint64_t time_ns = 0;    ///< wall time inside Open/Next/Close, children
+  uint64_t next_calls = 0; ///< NextBatch() invocations (batches + 1
+                           ///< usually)
+  uint64_t time_ns = 0;    ///< wall time inside Open/NextBatch/Close, children
                            ///< included (self time derivable from them)
 };
 
@@ -49,8 +50,7 @@ class ExecProfile {
   /// Attaches the parallel-execution section: one entry per worker.
   /// ToText then renders a Gather header with per-worker morsel/row
   /// counts above the (serial) operator slots.
-  void SetParallel(unsigned dop, size_t batch_size,
-                   std::vector<WorkerProfile> workers);
+  void SetParallel(unsigned dop, std::vector<WorkerProfile> workers);
   unsigned parallel_dop() const { return parallel_dop_; }
   const std::vector<WorkerProfile>& workers() const { return workers_; }
 
@@ -58,7 +58,6 @@ class ExecProfile {
     ops_.clear();
     workers_.clear();
     parallel_dop_ = 0;
-    parallel_batch_size_ = 0;
   }
 
   /// EXPLAIN ANALYZE rendering: one indented line per operator with
@@ -68,20 +67,18 @@ class ExecProfile {
  private:
   std::vector<OpProfile> ops_;
   unsigned parallel_dop_ = 0;
-  size_t parallel_batch_size_ = 0;
   std::vector<WorkerProfile> workers_;
 };
 
 /// Decorator that meters a wrapped operator into an ExecProfile slot.
 /// Used by the lowering layer when a profile is requested; adds two
-/// clock reads per Next() call, nothing when profiling is off (the
+/// clock reads per NextBatch() call, nothing when profiling is off (the
 /// decorator simply isn't inserted).
 class ProfileOp final : public Operator {
  public:
   ProfileOp(OperatorPtr child, ExecProfile* profile, size_t slot);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* row) override;
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override { return child_->name(); }

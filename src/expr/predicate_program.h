@@ -1,8 +1,8 @@
 // A predicate "program": a conjunction of flat atoms compiled once from
 // an Expr tree, evaluated over whole batches by refining a selection
-// vector in place. The tuple-at-a-time path interprets the Expr tree per
-// row (two Value copies and a virtual walk per comparison); the batch
-// path compiles the common shapes — `col <op> literal`, `col <op> :host`,
+// vector in place. Interpreting the Expr tree per row costs two Value
+// copies and a virtual walk per comparison; the program compiles the
+// common shapes — `col <op> literal`, `col <op> :host`,
 // `col IS [NOT] NULL` — into atoms that read column slots by reference.
 // Anything else falls back to the interpreter per row, so compilation is
 // always safe and never changes results.

@@ -123,6 +123,28 @@ class Parser {
     return Status::ParseError(std::move(msg));
   }
 
+  /// Counts one recursion level for its scope; Check() fails once the
+  /// input nests deeper than kMaxParseNestingDepth.
+  class NestingGuard {
+   public:
+    explicit NestingGuard(Parser* parser) : parser_(parser) {
+      ++parser_->depth_;
+    }
+    ~NestingGuard() { --parser_->depth_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+    Status Check() const {
+      if (parser_->depth_ <= kMaxParseNestingDepth) return Status::OK();
+      return parser_->ErrorHere("nesting deeper than " +
+                                std::to_string(kMaxParseNestingDepth) +
+                                " levels");
+    }
+
+   private:
+    Parser* parser_;
+  };
+
   Result<std::string> ExpectIdentifier(std::string_view what) {
     if (Peek().type != TokenType::kIdentifier) {
       return ErrorHere("expected " + std::string(what));
@@ -156,6 +178,8 @@ class Parser {
   }
 
   Result<QuerySpecPtr> ParseQuerySpec() {
+    NestingGuard nesting(this);
+    UNIQOPT_RETURN_NOT_OK(nesting.Check());
     UNIQOPT_RETURN_NOT_OK(ExpectKeyword("SELECT"));
     auto spec = std::make_unique<QuerySpec>();
     if (ConsumeKeyword("DISTINCT")) {
@@ -278,6 +302,8 @@ class Parser {
 
   Result<AstExprPtr> ParseNot() {
     if (ConsumeKeyword("NOT")) {
+      NestingGuard nesting(this);
+      UNIQOPT_RETURN_NOT_OK(nesting.Check());
       UNIQOPT_ASSIGN_OR_RETURN(AstExprPtr child, ParseNot());
       // NOT EXISTS folds into the EXISTS node.
       if (child->kind == AstExprKind::kExists) {
@@ -436,6 +462,8 @@ class Parser {
       }
       case TokenType::kSymbol:
         if (t.text == "(") {
+          NestingGuard nesting(this);
+          UNIQOPT_RETURN_NOT_OK(nesting.Check());
           Advance();
           UNIQOPT_ASSIGN_OR_RETURN(AstExprPtr inner, ParseExpr());
           UNIQOPT_RETURN_NOT_OK(ExpectSymbol(")"));
@@ -683,6 +711,7 @@ class Parser {
   std::string_view sql_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< current recursion depth, see NestingGuard
 };
 
 }  // namespace

@@ -8,6 +8,12 @@
 
 namespace uniqopt {
 
+/// Deepest nesting the parser accepts, counting each parenthesised
+/// expression, each NOT and each (sub)query level. Deeper input would
+/// overflow the stack in the parser or in the passes that recurse over
+/// the tree it builds, so it is rejected with a ParseError.
+constexpr int kMaxParseNestingDepth = 1000;
+
 /// Parses one SQL statement (query or CREATE TABLE); trailing `;` is
 /// accepted, trailing garbage is an error.
 Result<StatementPtr> ParseStatement(std::string_view sql);

@@ -340,7 +340,7 @@ Result<std::shared_ptr<const PreparedQuery>> Optimizer::PrepareShared(
       // replay prepares from entries keyed to the real catalog.
       fopts.salt = (verify_plans_ ? 1 : 0) | (check_equiv_ ? 4 : 0) |
                    extra_fingerprint_salt_;
-      // Physical defaults shape execution (dop, batch size, join and
+      // Physical defaults shape execution (dop, index use, join and
       // distinct strategies), so prepares under different defaults get
       // distinct fingerprints.
       fopts.salt = cache::Fnv1aMix(fopts.salt, default_physical_.CacheSalt());

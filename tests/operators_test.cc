@@ -1,4 +1,4 @@
-// Direct operator-level tests for the volcano executor: edge cases that
+// Direct operator-level tests for the batch executor: edge cases that
 // SQL-level tests reach only indirectly (NULL join keys, residual
 // predicates, re-Open behaviour, empty inputs).
 
@@ -25,9 +25,12 @@ class VectorSourceOp final : public Operator {
     ++opens_;
     return Status::OK();
   }
-  Result<bool> Next(ExecContext*, Row* row) override {
+  Result<bool> NextBatch(ExecContext*, RowBatch* out) override {
+    out->Reset();
     if (pos_ >= rows_.size()) return false;
-    *row = rows_[pos_++];
+    size_t n = std::min(out->capacity(), rows_.size() - pos_);
+    out->Borrow(rows_.data() + pos_, n);
+    pos_ += n;
     return true;
   }
   void Close() override {}

@@ -46,10 +46,17 @@ std::vector<std::vector<Row>> EnumerateInstances() {
 }
 
 struct OracleCase {
+  /// Stable case name; ctest names value-parameterized tests after the
+  /// printed parameter, so it must not depend on addresses or padding.
+  const char* label;
   const char* sql;
   /// Ground truth: is DISTINCT redundant over *all* valid instances?
   bool redundant;
 };
+
+void PrintTo(const OracleCase& test_case, std::ostream* os) {
+  *os << test_case.label;
+}
 
 class OracleTest : public ::testing::TestWithParam<OracleCase> {};
 
@@ -122,32 +129,39 @@ INSTANTIATE_TEST_SUITE_P(
     Queries, OracleTest,
     ::testing::Values(
         // Key projected: never duplicates.
-        OracleCase{"SELECT DISTINCT A FROM R", true},
-        OracleCase{"SELECT DISTINCT A, B FROM R", true},
+        OracleCase{"KeyProjected", "SELECT DISTINCT A FROM R", true},
+        OracleCase{"KeyAndNonKeyProjected", "SELECT DISTINCT A, B FROM R",
+                   true},
         // Non-key projected: duplicates possible (two keys, same B —
         // including both NULL, which DISTINCT treats as equal).
-        OracleCase{"SELECT DISTINCT B FROM R", false},
+        OracleCase{"NonKeyProjected", "SELECT DISTINCT B FROM R", false},
         // Constant-bound key.
-        OracleCase{"SELECT DISTINCT B FROM R WHERE A = 1", true},
+        OracleCase{"ConstantBoundKey", "SELECT DISTINCT B FROM R WHERE A = 1",
+                   true},
         // Join with both keys covered.
-        OracleCase{"SELECT DISTINCT R.A, S.C FROM R, S "
+        OracleCase{"JoinBothKeys",
+                   "SELECT DISTINCT R.A, S.C FROM R, S "
                    "WHERE R.B = S.C",
                    true},
         // Join on non-key B = D: same (A, C) pair can only appear once
         // (keys of both sides projected) — still unique.
-        OracleCase{"SELECT DISTINCT R.A, S.C FROM R, S WHERE R.B = S.D",
+        OracleCase{"JoinOnNonKeysBothKeys",
+                   "SELECT DISTINCT R.A, S.C FROM R, S WHERE R.B = S.D",
                    true},
         // Join projecting only one side's key: the other side may
         // match twice.
-        OracleCase{"SELECT DISTINCT R.A FROM R, S WHERE R.B = S.D",
-                   false},
+        OracleCase{"JoinOneSideKey",
+                   "SELECT DISTINCT R.A FROM R, S WHERE R.B = S.D", false},
         // Equality closure binds the S key through the join.
-        OracleCase{"SELECT DISTINCT R.A, R.B FROM R, S WHERE R.B = S.C",
+        OracleCase{"EqualityClosureKey",
+                   "SELECT DISTINCT R.A, R.B FROM R, S WHERE R.B = S.C",
                    true},
         // Cross product without predicate: key ⊕ key is projected.
-        OracleCase{"SELECT DISTINCT R.A, S.C FROM R, S", true},
+        OracleCase{"CrossProductBothKeys",
+                   "SELECT DISTINCT R.A, S.C FROM R, S", true},
         // Non-key columns only, joined: duplicates possible.
-        OracleCase{"SELECT DISTINCT R.B, S.D FROM R, S WHERE R.A = S.C",
+        OracleCase{"JoinNonKeysOnly",
+                   "SELECT DISTINCT R.B, S.D FROM R, S WHERE R.A = S.C",
                    false}));
 
 }  // namespace

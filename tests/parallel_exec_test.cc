@@ -1,7 +1,7 @@
 // Differential oracle for the morsel-driven parallel + batch execution
 // layer: every plan in the workload (corpus + generated queries) must
 // produce the identical multiset of rows under
-//   serial tuple-at-a-time  vs  batch dop=1  vs  dop=2  vs  dop=8,
+//   the naive reference interpreter  vs  serial  vs  dop=2  vs  dop=8,
 // with the per-worker ExecStats merging to exact totals. Plus focused
 // units for the morsel cursor, the mergeable aggregator, the shared
 // hash-join build, EXPLAIN ANALYZE's Gather section, the plan-cache
@@ -15,6 +15,7 @@
 
 #include "exec/operators.h"
 #include "exec/parallel.h"
+#include "reference_interpreter.h"
 #include "rewrite/rewriter.h"
 #include "test_util.h"
 #include "uniqopt/optimizer.h"
@@ -62,6 +63,13 @@ Result<std::vector<Row>> ExecBound(const BoundQuery& bound,
   return rows;
 }
 
+/// The same bound query evaluated by the naive reference interpreter.
+Result<std::vector<Row>> Reference(const BoundQuery& bound,
+                                   const Database& db) {
+  return ReferenceInterpreter(db, DefaultParams(bound.host_vars))
+      .Run(bound.plan);
+}
+
 class ParallelSweepTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
@@ -98,11 +106,8 @@ class ParallelSweepTest : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(ParallelSweepTest, SerialBatchAndParallelAgree) {
-  PhysicalOptions serial_tuple;
-  serial_tuple.batch_size = 0;
-  serial_tuple.dop = 1;
-  PhysicalOptions batch1;
-  batch1.dop = 1;
+  PhysicalOptions serial;
+  serial.dop = 1;
   PhysicalOptions dop2;
   dop2.dop = 2;
   PhysicalOptions dop8;
@@ -110,16 +115,14 @@ TEST_P(ParallelSweepTest, SerialBatchAndParallelAgree) {
 
   size_t plans = 0;
   for (const BoundQuery& bound : Workload()) {
-    ASSERT_OK_AND_ASSIGN(std::vector<Row> reference,
-                         ExecBound(bound, db_, serial_tuple));
-    for (const PhysicalOptions& physical : {batch1, dop2, dop8}) {
+    ASSERT_OK_AND_ASSIGN(std::vector<Row> reference, Reference(bound, db_));
+    for (const PhysicalOptions& physical : {serial, dop2, dop8}) {
       ExecStats stats;
       ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
                            ExecBound(bound, db_, physical, &stats));
       EXPECT_TRUE(MultisetEquals(reference, rows))
-          << "dop=" << physical.dop << " batch=" << physical.batch_size
-          << "\n"
-          << bound.plan->ToString() << "serial rows:\n"
+          << "dop=" << physical.dop << "\n"
+          << bound.plan->ToString() << "reference rows:\n"
           << RowsToString(reference) << "variant rows:\n"
           << RowsToString(rows);
       EXPECT_EQ(stats.rows_output, rows.size()) << bound.plan->ToString();
@@ -132,14 +135,11 @@ TEST_P(ParallelSweepTest, SerialBatchAndParallelAgree) {
 }
 
 TEST_P(ParallelSweepTest, RewrittenPlansAgreeUnderParallelExecution) {
-  PhysicalOptions serial_tuple;
-  serial_tuple.batch_size = 0;
   PhysicalOptions dop8;
   dop8.dop = 8;
   for (const BoundQuery& bound : Workload()) {
     ASSERT_OK_AND_ASSIGN(RewriteResult rewritten, RewritePlan(bound.plan));
-    ASSERT_OK_AND_ASSIGN(std::vector<Row> reference,
-                         ExecBound(bound, db_, serial_tuple));
+    ASSERT_OK_AND_ASSIGN(std::vector<Row> reference, Reference(bound, db_));
     BoundQuery rebound = bound;
     rebound.plan = rewritten.plan;
     ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
@@ -243,7 +243,6 @@ TEST_F(ParallelExecTest, SharedBuildJoinMatchesSerialHashJoin) {
       binder.BindSql("SELECT S.SNO, S.SNAME, P.PNO FROM SUPPLIER S, "
                      "PARTS P WHERE S.SNO = P.SNO AND P.PNO > 2"));
   PhysicalOptions serial;
-  serial.batch_size = 0;
   ExecStats serial_stats;
   ASSERT_OK_AND_ASSIGN(std::vector<Row> reference,
                        ExecBound(bound, db_, serial, &serial_stats));
@@ -324,11 +323,11 @@ TEST_F(ParallelExecTest, CacheSaltSeparatesPhysicalDefaults) {
   ASSERT_OK(optimizer.PrepareShared(sql, &hit).status());
   EXPECT_TRUE(hit);
 
-  PhysicalOptions tuple = dop8;
-  tuple.batch_size = 0;
-  optimizer.set_default_physical(tuple);
+  PhysicalOptions scans = dop8;
+  scans.use_indexes = false;
+  optimizer.set_default_physical(scans);
   ASSERT_OK(optimizer.PrepareShared(sql, &hit).status());
-  EXPECT_FALSE(hit) << "batch-size change must re-key the entry";
+  EXPECT_FALSE(hit) << "index-use change must re-key the entry";
 }
 
 TEST_F(ParallelExecTest, SerialFallbackForUnsupportedShapes) {
@@ -340,9 +339,9 @@ TEST_F(ParallelExecTest, SerialFallbackForUnsupportedShapes) {
       binder.BindSql("SELECT SNO FROM SUPPLIER INTERSECT "
                      "SELECT SNO FROM AGENTS"));
   PhysicalOptions serial;
-  serial.batch_size = 0;
+  ExecStats serial_stats;
   ASSERT_OK_AND_ASSIGN(std::vector<Row> reference,
-                       ExecBound(bound, db_, serial));
+                       ExecBound(bound, db_, serial, &serial_stats));
   PhysicalOptions dop8;
   dop8.dop = 8;
   ExecStats stats;
@@ -350,6 +349,7 @@ TEST_F(ParallelExecTest, SerialFallbackForUnsupportedShapes) {
                        ExecBound(bound, db_, dop8, &stats));
   EXPECT_TRUE(MultisetEquals(reference, rows));
   EXPECT_EQ(stats.morsels_claimed, 0u);
+  EXPECT_EQ(stats.ToString(), serial_stats.ToString());
 }
 
 // TSan hammer: concurrent PrepareBatch (cost model on, so the shared

@@ -1,7 +1,12 @@
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "parser/lexer.h"
 #include "parser/parser.h"
+#include "test_util.h"
+#include "uniqopt/optimizer.h"
+#include "workload/supplier_schema.h"
 
 namespace uniqopt {
 namespace {
@@ -172,6 +177,67 @@ TEST(ParserTest, ParseExpressionStandalone) {
   auto e = ParseExpression("BUDGET > 0 OR STATUS = 'Inactive'");
   ASSERT_TRUE(e.ok());
   EXPECT_EQ((*e)->kind, AstExprKind::kOr);
+}
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+std::string NestedParens(int depth) {
+  return "SELECT SNO FROM SUPPLIER WHERE " + Repeat("(", depth) +
+         "SNO = 1" + Repeat(")", depth);
+}
+
+std::string StackedNots(int count) {
+  return "SELECT SNO FROM SUPPLIER WHERE " + Repeat("NOT ", count) +
+         "SNO = 1";
+}
+
+TEST(ParserTest, DeepParenthesesReturnParseError) {
+  auto q = ParseQuery(NestedParens(10000));
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+  EXPECT_NE(q.status().message().find("nesting deeper than"),
+            std::string::npos)
+      << q.status().ToString();
+}
+
+TEST(ParserTest, StackedNotsReturnParseError) {
+  auto q = ParseQuery(StackedNots(20000));
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+}
+
+TEST(ParserTest, NestingLimitCountsSubqueries) {
+  // Each EXISTS level is one query spec; the top-level spec counts too.
+  std::string sql = "SELECT SNO FROM SUPPLIER S0 WHERE ";
+  for (int i = 1; i < kMaxParseNestingDepth + 1; ++i) {
+    sql += "EXISTS (SELECT SNO FROM SUPPLIER S" + std::to_string(i) +
+           " WHERE ";
+  }
+  sql += "SNO = 1" + Repeat(")", kMaxParseNestingDepth);
+  auto q = ParseQuery(sql);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+}
+
+TEST(ParserTest, AtLimitNestingPreparesAndExecutes) {
+  Database db;
+  ASSERT_OK(MakeTestSupplierDatabase(&db));
+  Optimizer optimizer(&db);
+  // The top-level query spec is one level, so this is exactly at the
+  // limit; one more level is rejected.
+  const int depth = kMaxParseNestingDepth - 1;
+  EXPECT_FALSE(ParseQuery(NestedParens(depth + 1)).ok());
+  EXPECT_FALSE(ParseQuery(StackedNots(depth + 1)).ok());
+  for (const std::string& sql : {NestedParens(depth), StackedNots(depth)}) {
+    ASSERT_OK_AND_ASSIGN(PreparedQuery prepared, optimizer.Prepare(sql));
+    ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                         optimizer.Execute(prepared, {}));
+    EXPECT_FALSE(rows.empty());
+  }
 }
 
 }  // namespace
