@@ -3,7 +3,9 @@
 # as -DCMAKE_BUILD_TYPE=Release (-O3, where GCC's optimizer-driven
 # warnings meet the -Werror modules), plus an ASan/UBSan build of the
 # observability tests (the registry, tracer and flight recorder are the
-# concurrent code in the tree — sanitize them every time).
+# concurrent code in the tree — sanitize them every time) and of the
+# analysis/rewrite tests (the rewriter's property memo keys plan nodes
+# by address).
 #
 # Optional modes:
 #   --tsan        additionally build & run the concurrent obs tests and
@@ -168,7 +170,7 @@ run_equiv_sweep
 
 run_tidy
 
-echo "== sanitizers: ASan/UBSan build of obs + analysis tests =="
+echo "== sanitizers: ASan/UBSan build of obs, analysis and rewrite tests =="
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
@@ -176,7 +178,9 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j --target obs_test analysis_test \
   export_test recorder_test http_endpoint_test advisor_test \
   timeseries_test sentinel_test equiv_test cost_model_test \
-  parallel_exec_test dml_test index_exec_test dml_oracle_test
+  parallel_exec_test dml_test index_exec_test dml_oracle_test \
+  rewrite_test sweep_test property_test groupby_test \
+  proof_characterization_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/analysis_test
 ./build-asan/tests/export_test
@@ -191,6 +195,13 @@ cmake --build build-asan -j --target obs_test analysis_test \
 ./build-asan/tests/dml_test
 ./build-asan/tests/index_exec_test
 ./build-asan/tests/dml_oracle_test
+# The rewriter's per-node property memo holds plan nodes by address:
+# sanitize every suite that drives it.
+./build-asan/tests/rewrite_test
+./build-asan/tests/sweep_test
+./build-asan/tests/property_test
+./build-asan/tests/groupby_test
+./build-asan/tests/proof_characterization_test
 
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: ThreadSanitizer build of concurrent obs tests =="

@@ -8,21 +8,15 @@
 
 namespace uniqopt {
 
-std::string Algorithm1Result::TraceToString() const {
-  std::string out;
-  for (const std::string& line : trace) {
-    out += line;
-    out += "\n";
-  }
-  return out;
-}
+namespace {
 
+// The bound-column closure V of ProveKeyCoverage. Fills the proof's
+// conjuncts / initially_bound / closure_steps / closure fields.
 AttributeSet BoundColumnClosure(const std::vector<ExprPtr>& conjuncts,
                                 const AttributeSet& initially_bound,
                                 const AnalysisOptions& options,
                                 std::vector<std::string>* trace,
-                                bool* any_equality_kept,
-                                ProofTrace* proof) {
+                                bool* any_equality_kept, ProofTrace* proof) {
   // Lines 6–9: keep only conjuncts that are single atomic Type 1 / Type 2
   // equalities. A conjunct that is a disjunction ("X = 5 OR X = 10") or a
   // non-equality atom is deleted; deletion weakens C, so the final test
@@ -83,8 +77,8 @@ AttributeSet BoundColumnClosure(const std::vector<ExprPtr>& conjuncts,
     }
   }
 
-  // Line 13–14: V starts as the projection attributes plus every column
-  // equated to a constant or host variable.
+  // Line 13–14: V starts as the seed (Algorithm 1: the projection
+  // attributes) plus every column equated to a constant or host variable.
   AttributeSet bound = initially_bound;
   for (size_t i = 0; i < kept.size(); ++i) {
     const EqualityAtom& atom = kept[i];
@@ -129,43 +123,81 @@ AttributeSet BoundColumnClosure(const std::vector<ExprPtr>& conjuncts,
   return bound;
 }
 
-namespace {
-
-// Frame display names for a spec shape: position p belongs to the table
-// whose [offset, offset + arity) range contains it.
-std::vector<std::string> ShapeColumnNames(const SpecShape& shape) {
-  std::vector<std::string> names(shape.width);
-  for (const SpecShape::BaseTable& bt : shape.tables) {
-    const Schema& schema = bt.get->schema();
-    for (size_t j = 0; j < schema.num_columns(); ++j) {
-      size_t pos = bt.offset + j;
-      if (pos < names.size()) names[pos] = schema.column(j).QualifiedName();
-    }
-  }
-  return names;
-}
-
-// Records one key-coverage outcome in the proof.
-void RecordKeyOutcome(ProofTrace* proof, const SpecShape::BaseTable& bt,
-                      const KeyConstraint& key, size_t shift,
-                      const AttributeSet& bound, bool covered) {
-  if (proof == nullptr) return;
-  ProofKeyOutcome outcome;
-  outcome.table = bt.get->table().name();
-  outcome.alias = bt.get->alias();
-  outcome.key_name = key.name;
-  outcome.covered = covered;
-  for (size_t col : key.columns) {
-    size_t pos = shift + col;
-    outcome.key_columns.push_back(proof->NameOf(pos));
-    if (!bound.Contains(pos)) {
-      outcome.missing_columns.push_back(proof->NameOf(pos));
-    }
-  }
-  proof->keys.push_back(std::move(outcome));
-}
-
 }  // namespace
+
+std::vector<ExprPtr> CnfConjuncts(const std::vector<ExprPtr>& predicates,
+                                  bool* over_budget) {
+  constexpr size_t kNormalizeBudget = 4096;
+  std::vector<ExprPtr> conjuncts;
+  for (const ExprPtr& pred : predicates) {
+    Result<ExprPtr> cnf = ToCnf(pred, kNormalizeBudget);
+    if (!cnf.ok()) {
+      *over_budget = true;
+      continue;
+    }
+    for (const ExprPtr& c : FlattenAnd(*cnf)) conjuncts.push_back(c);
+  }
+  return conjuncts;
+}
+
+void AppendColumnNames(const Schema& schema, std::vector<std::string>* names) {
+  for (size_t i = 0; i < schema.num_columns(); ++i) {
+    names->push_back(schema.column(i).QualifiedName());
+  }
+}
+
+KeyCoverage ProveKeyCoverage(const std::vector<ExprPtr>& conjuncts,
+                             const std::vector<SpecShape::BaseTable>& tables,
+                             size_t shift, const AttributeSet& initially_bound,
+                             const AnalysisOptions& options,
+                             const KeyCoverageSinks& sinks) {
+  KeyCoverage out;
+  ProofTrace* proof = sinks.proof;
+  out.closure = BoundColumnClosure(conjuncts, initially_bound, options,
+                                   sinks.trace, &out.any_equality_kept, proof);
+  if (sinks.require_equality && !out.any_equality_kept) return out;
+  // Line 17: Key(R) ⊕ Key(S) ⊆ V — generalized: every table must have at
+  // least one candidate key fully inside V.
+  for (const SpecShape::BaseTable& bt : tables) {
+    const TableDef& table = bt.get->table();
+    const size_t table_shift = shift + bt.offset;
+    const KeyConstraint* covering_key = nullptr;
+    for (const KeyConstraint& key : table.keys()) {
+      if (key.kind == KeyKind::kUnique && !options.use_unique_keys) continue;
+      bool covered = AttributeSet::FromVector(key.columns)
+                         .Shifted(table_shift)
+                         .IsSubsetOf(out.closure);
+      if (proof != nullptr) {
+        ProofKeyOutcome outcome;
+        outcome.table = table.name();
+        outcome.alias = bt.get->alias();
+        outcome.key_name = key.name;
+        outcome.covered = covered;
+        for (size_t col : key.columns) {
+          size_t pos = table_shift + col;
+          outcome.key_columns.push_back(proof->NameOf(pos));
+          if (!out.closure.Contains(pos)) {
+            outcome.missing_columns.push_back(proof->NameOf(pos));
+          }
+        }
+        proof->keys.push_back(std::move(outcome));
+      }
+      if (covered) {
+        covering_key = &key;
+        break;
+      }
+    }
+    out.covering_keys.push_back(covering_key);
+    if (covering_key != nullptr) continue;
+    if (sinks.near_misses != nullptr) {
+      ComputeTableNearMiss(sinks.goal, table, bt.get->alias(), table_shift,
+                           out.closure, initially_bound, options,
+                           sinks.near_misses);
+    }
+    if (!sinks.all_tables) break;
+  }
+  return out;
+}
 
 Result<Algorithm1Result> RunAlgorithm1(const SpecShape& shape,
                                        const Algorithm1Options& options) {
@@ -176,27 +208,18 @@ Result<Algorithm1Result> RunAlgorithm1(const SpecShape& shape,
       obs::MetricsRegistry::Global().GetHistogram("analysis.algorithm1.ns");
   obs::ScopedLatencyTimer timer(&latency);
   Algorithm1Result result;
-  ProofTrace* proof = nullptr;
-  if (options.record_proof) {
-    proof = &result.proof;
-    proof->recorded = true;
-    proof->column_names = ShapeColumnNames(shape);
-  }
-  // Line 5: C := C_R ∧ C_S ∧ C_{R,S} ∧ T, in CNF. Top-level conjuncts of
-  // each Select predicate are CNF-normalized individually so that e.g.
-  // `a = b AND (x = 1 OR y = 2)` keeps its useful first conjunct.
-  std::vector<ExprPtr> conjuncts;
-  for (const ExprPtr& pred : shape.predicates) {
-    Result<ExprPtr> cnf = ToCnf(pred, options.normalize_budget);
-    if (!cnf.ok()) {
-      // Predicate too complex to normalize: give up conservatively.
-      result.yes = false;
-      result.trace.push_back("CNF budget exceeded; answer NO");
-      if (proof != nullptr) proof->conclusion = "NO: CNF budget exceeded";
-      span.AddAttr("answer", "NO");
-      return result;
-    }
-    for (const ExprPtr& c : FlattenAnd(*cnf)) conjuncts.push_back(c);
+  ProofTrace* proof = &result.proof;
+  proof->recorded = true;
+  AppendColumnNames(shape.project->input()->schema(), &proof->column_names);
+  // Line 5: C := C_R ∧ C_S ∧ C_{R,S} ∧ T, in CNF.
+  bool over_budget = false;
+  std::vector<ExprPtr> conjuncts = CnfConjuncts(shape.predicates, &over_budget);
+  if (over_budget) {
+    // Predicate too complex to normalize: give up conservatively.
+    result.trace.push_back("CNF budget exceeded; answer NO");
+    proof->conclusion = "NO: CNF budget exceeded";
+    span.AddAttr("answer", "NO");
+    return result;
   }
   result.trace.push_back("C has " + std::to_string(conjuncts.size()) +
                          " conjunct(s)");
@@ -207,81 +230,51 @@ Result<Algorithm1Result> RunAlgorithm1(const SpecShape& shape,
   result.trace.push_back("V initialized to projection attributes " +
                          projection.ToString());
 
-  bool any_kept = false;
-  AttributeSet bound = BoundColumnClosure(conjuncts, projection, options,
-                                          &result.trace, &any_kept, proof);
-  if (!any_kept && options.verbatim_line10) {
+  KeyCoverageSinks sinks;
+  sinks.trace = &result.trace;
+  sinks.proof = proof;
+  if (options.collect_near_misses) {
+    sinks.near_misses = &result.near_misses;
+    sinks.goal = "theorem1.distinct";
+  }
+  sinks.require_equality = options.verbatim_line10;
+  KeyCoverage coverage = ProveKeyCoverage(conjuncts, shape.tables, 0,
+                                          projection, options, sinks);
+  if (!coverage.any_equality_kept && options.verbatim_line10) {
     // Line 10 of the published algorithm: C reduced to T ⇒ NO.
-    result.yes = false;
-    result.bound_columns = bound;
     result.trace.push_back("C = T after deletions; verbatim line 10: NO");
-    if (proof != nullptr) {
-      proof->conclusion = "NO: C = T after deletions (verbatim line 10)";
+    proof->conclusion = "NO: C = T after deletions (verbatim line 10)";
+    span.AddAttr("answer", "NO");
+    return result;
+  }
+  result.trace.push_back("closure V = " + coverage.closure.ToString());
+  for (size_t i = 0; i < coverage.covering_keys.size(); ++i) {
+    const TableDef& table = shape.tables[i].get->table();
+    if (const KeyConstraint* key = coverage.covering_keys[i]) {
+      result.trace.push_back("key " + key->name + " of " + table.name() +
+                             " covered by V");
+      continue;
+    }
+    if (!table.HasAnyKey()) {
+      result.trace.push_back("table " + table.name() +
+                             " has no declared key: NO");
+      proof->conclusion = "NO: table " + table.name() +
+                          " has no declared candidate key";
+    } else {
+      const std::string& alias = shape.tables[i].get->alias();
+      result.trace.push_back("no candidate key of " + table.name() + " (" +
+                             alias + ") is covered: NO");
+      proof->conclusion = "NO: no candidate key of " + table.name() + " (" +
+                          alias + ") is covered by V";
     }
     span.AddAttr("answer", "NO");
     return result;
   }
-  result.bound_columns = bound;
-  result.trace.push_back("closure V = " + bound.ToString());
-
-  // Line 17: Key(R) ⊕ Key(S) ⊆ V — generalized: every FROM table must
-  // have at least one candidate key fully inside V.
-  for (const SpecShape::BaseTable& bt : shape.tables) {
-    const TableDef& table = bt.get->table();
-    if (!table.HasAnyKey()) {
-      result.yes = false;
-      result.trace.push_back("table " + table.name() +
-                             " has no declared key: NO");
-      if (proof != nullptr) {
-        proof->conclusion = "NO: table " + table.name() +
-                            " has no declared candidate key";
-      }
-      if (options.collect_near_misses) {
-        ComputeTableNearMiss(options.near_miss_goal, table, bt.get->alias(),
-                             bt.offset, bound, projection, options,
-                             &result.near_misses);
-      }
-      span.AddAttr("answer", "NO");
-      return result;
-    }
-    bool covered = false;
-    for (const KeyConstraint& key : table.keys()) {
-      if (key.kind == KeyKind::kUnique && !options.use_unique_keys) continue;
-      AttributeSet key_set =
-          AttributeSet::FromVector(key.columns).Shifted(bt.offset);
-      bool this_covered = key_set.IsSubsetOf(bound);
-      RecordKeyOutcome(proof, bt, key, bt.offset, bound, this_covered);
-      if (this_covered) {
-        result.trace.push_back("key " + key.name + " of " + table.name() +
-                               " covered by V");
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
-      result.yes = false;
-      result.trace.push_back("no candidate key of " + table.name() +
-                             " (" + bt.get->alias() + ") is covered: NO");
-      if (proof != nullptr) {
-        proof->conclusion = "NO: no candidate key of " + table.name() + " (" +
-                            bt.get->alias() + ") is covered by V";
-      }
-      if (options.collect_near_misses) {
-        ComputeTableNearMiss(options.near_miss_goal, table, bt.get->alias(),
-                             bt.offset, bound, projection, options,
-                             &result.near_misses);
-      }
-      span.AddAttr("answer", "NO");
-      return result;
-    }
-  }
   result.yes = true;
   result.trace.push_back("all table keys covered: YES");
-  if (proof != nullptr) {
-    proof->conclusion =
-        "YES: every FROM table has a candidate key covered by V; "
-        "duplicate elimination is unnecessary (Theorem 1)";
-  }
+  proof->conclusion =
+      "YES: every FROM table has a candidate key covered by V; "
+      "duplicate elimination is unnecessary (Theorem 1)";
   obs::MetricsRegistry::Global().GetCounter("analysis.algorithm1.yes")
       .Increment();
   span.AddAttr("answer", "YES");

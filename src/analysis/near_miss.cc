@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "analysis/algorithm1.h"
-#include "expr/normalize.h"
 
 namespace uniqopt {
 
@@ -104,32 +103,14 @@ std::vector<obs::NearMiss> CollectShapeNearMisses(
     const SpecShape& shape, const AttributeSet& initially_bound,
     const std::string& goal, const AnalysisOptions& options) {
   std::vector<obs::NearMiss> out;
-  std::vector<ExprPtr> conjuncts;
-  for (const ExprPtr& pred : shape.predicates) {
-    Result<ExprPtr> cnf = ToCnf(pred, options.normalize_budget);
-    if (!cnf.ok()) continue;  // over-budget conjunct contributes nothing
-    for (const ExprPtr& c : FlattenAnd(*cnf)) conjuncts.push_back(c);
-  }
-  bool any_kept = false;
-  AttributeSet bound = BoundColumnClosure(conjuncts, initially_bound,
-                                          options, nullptr, &any_kept);
-  for (const SpecShape::BaseTable& bt : shape.tables) {
-    const TableDef& table = bt.get->table();
-    bool covered = false;
-    for (const KeyConstraint& key : table.keys()) {
-      if (key.kind == KeyKind::kUnique && !options.use_unique_keys) continue;
-      if (AttributeSet::FromVector(key.columns)
-              .Shifted(bt.offset)
-              .IsSubsetOf(bound)) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
-      ComputeTableNearMiss(goal, table, bt.get->alias(), bt.offset, bound,
-                           initially_bound, options, &out);
-    }
-  }
+  // An over-budget predicate contributes no conjuncts.
+  bool over_budget = false;
+  KeyCoverageSinks sinks;
+  sinks.near_misses = &out;
+  sinks.goal = goal.c_str();
+  sinks.all_tables = true;
+  ProveKeyCoverage(CnfConjuncts(shape.predicates, &over_budget), shape.tables,
+                   0, initially_bound, options, sinks);
   return out;
 }
 

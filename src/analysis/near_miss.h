@@ -40,11 +40,13 @@ void ComputeTableNearMiss(const std::string& goal, const TableDef& table,
                           const AnalysisOptions& options,
                           std::vector<obs::NearMiss>* out);
 
-/// Runs the bound-column closure of Algorithm 1 over `shape` seeded with
-/// `initially_bound` and emits one near-miss per table whose candidate
-/// keys the closure fails to cover. Used by the rewriter at rejection
-/// sites that have a shape but not an Algorithm1Result (set-operation
-/// operands, GROUP-BY-on-key, Corollary 1 outer blocks).
+/// Runs the key-coverage proof (ProveKeyCoverage) over `shape` seeded
+/// with `initially_bound`, without recording a proof, and emits one
+/// near-miss per table whose candidate keys the closure fails to cover.
+/// A predicate over the CNF budget is skipped rather than failing the
+/// proof. Used by the rewriter at rejection sites that have a shape but
+/// not an Algorithm1Result (set-operation operands, GROUP-BY-on-key,
+/// Corollary 1 outer blocks).
 std::vector<obs::NearMiss> CollectShapeNearMisses(
     const SpecShape& shape, const AttributeSet& initially_bound,
     const std::string& goal, const AnalysisOptions& options);

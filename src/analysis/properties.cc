@@ -201,33 +201,37 @@ DerivedProperties DeriveSetOp(const SetOpNode& setop,
 
 }  // namespace
 
-DerivedProperties DeriveProperties(const PlanPtr& plan,
-                                   const AnalysisOptions& options) {
+const DerivedProperties& PropertyMemo::Get(const PlanPtr& plan) {
+  auto it = entries_.find(plan.get());
+  if (it != entries_.end()) return it->second.props;
+  DerivedProperties props = Derive(plan);
+  return entries_.emplace(plan.get(), Entry{plan, std::move(props)})
+      .first->second.props;
+}
+
+DerivedProperties PropertyMemo::Derive(const PlanPtr& plan) {
   switch (plan->kind()) {
     case PlanKind::kGet:
-      return DeriveGet(*As<GetNode>(plan), options);
+      return DeriveGet(*As<GetNode>(plan), options_);
     case PlanKind::kSelect: {
       const SelectNode& node = *As<SelectNode>(plan);
-      return DeriveSelect(node, DeriveProperties(node.input(), options),
-                          options);
+      return DeriveSelect(node, Get(node.input()), options_);
     }
     case PlanKind::kProduct: {
       const ProductNode& node = *As<ProductNode>(plan);
-      return DeriveProduct(DeriveProperties(node.left(), options),
-                           DeriveProperties(node.right(), options));
+      return DeriveProduct(Get(node.left()), Get(node.right()));
     }
     case PlanKind::kProject: {
       const ProjectNode& node = *As<ProjectNode>(plan);
-      return DeriveProject(node, DeriveProperties(node.input(), options));
+      return DeriveProject(node, Get(node.input()));
     }
     case PlanKind::kExists: {
       const ExistsNode& node = *As<ExistsNode>(plan);
-      return DeriveExists(node, DeriveProperties(node.outer(), options),
-                          options);
+      return DeriveExists(node, Get(node.outer()), options_);
     }
     case PlanKind::kSetOp: {
       const SetOpNode& node = *As<SetOpNode>(plan);
-      return DeriveSetOp(node, DeriveProperties(node.left(), options));
+      return DeriveSetOp(node, Get(node.left()));
     }
     case PlanKind::kAggregate: {
       // Grouping makes the group-column list a key of the output by
@@ -235,7 +239,7 @@ DerivedProperties DeriveProperties(const PlanPtr& plan,
       // group columns survive from the input; a scalar aggregate has at
       // most one row (the empty set is a key).
       const AggregateNode& node = *As<AggregateNode>(plan);
-      DerivedProperties input = DeriveProperties(node.input(), options);
+      const DerivedProperties& input = Get(node.input());
       DerivedProperties props;
       props.width =
           node.group_columns().size() + node.aggregates().size();
@@ -256,6 +260,11 @@ DerivedProperties DeriveProperties(const PlanPtr& plan,
   }
   UNIQOPT_DCHECK_MSG(false, "unhandled plan kind");
   return {};
+}
+
+DerivedProperties DeriveProperties(const PlanPtr& plan,
+                                   const AnalysisOptions& options) {
+  return PropertyMemo(options).Get(plan);
 }
 
 bool IsProvablyDuplicateFree(const PlanPtr& plan,

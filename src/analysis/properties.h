@@ -2,6 +2,7 @@
 #define UNIQOPT_ANALYSIS_PROPERTIES_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -26,8 +27,6 @@ struct AnalysisOptions {
   /// column pinned by CHECK may still be NULL and is NOT constant
   /// under `=!`.
   bool use_check_constraints = false;
-  /// Budget for CNF/DNF normalization.
-  size_t normalize_budget = 4096;
   /// Emit structured NearMiss records (minimal missing key/FD facts) at
   /// proof-failure sites, feeding the constraint advisor. Off by default
   /// so raw analyzer callers (benches, the verifier's reference checker)
@@ -53,9 +52,31 @@ struct DerivedProperties {
 };
 
 /// Bottom-up derivation of FDs and keys for every operator of the §2.2
-/// algebra. Sound: every reported FD/key holds in all instances; not
-/// complete (exact derivation is undecidable / exponential — Klug,
-/// Darwen).
+/// algebra, memoized per plan node for one pass (e.g. one rewrite). Sound:
+/// every reported FD/key holds in all instances; not complete (exact
+/// derivation is undecidable / exponential — Klug, Darwen).
+///
+/// Each entry holds its node's PlanPtr, so every memoized node outlives
+/// the memo and a freed node's address can never produce a wrong hit.
+class PropertyMemo {
+ public:
+  explicit PropertyMemo(const AnalysisOptions& options) : options_(options) {}
+
+  /// Properties of `plan`, derived (children first) on first request.
+  const DerivedProperties& Get(const PlanPtr& plan);
+
+ private:
+  struct Entry {
+    PlanPtr node;
+    DerivedProperties props;
+  };
+  DerivedProperties Derive(const PlanPtr& plan);
+
+  AnalysisOptions options_;
+  std::unordered_map<const PlanNode*, Entry> entries_;
+};
+
+/// One-shot derivation: a PropertyMemo used for a single plan.
 DerivedProperties DeriveProperties(const PlanPtr& plan,
                                    const AnalysisOptions& options = {});
 

@@ -1,8 +1,6 @@
 #include "analysis/subquery.h"
 
 #include "analysis/algorithm1.h"
-#include "analysis/near_miss.h"
-#include "analysis/shape.h"
 #include "expr/normalize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,31 +13,9 @@ std::string SubqueryVerdict::ExplainProof() const {
              ? "at most one inner row matches each outer row"
              : "more than one inner match possible (condition not proven)";
   out += "\n";
-  if (proof.recorded) {
-    out += proof.ToText();
-  } else {
-    for (const std::string& line : trace) out += line + "\n";
-  }
+  out += proof.ToText();
   return out;
 }
-
-namespace {
-
-// Display names for the combined outer ⊕ inner frame.
-std::vector<std::string> CombinedColumnNames(const ExistsNode& node) {
-  std::vector<std::string> names;
-  const Schema& outer = node.outer()->schema();
-  for (size_t i = 0; i < outer.num_columns(); ++i) {
-    names.push_back(outer.column(i).QualifiedName());
-  }
-  const Schema& inner = node.sub()->schema();
-  for (size_t i = 0; i < inner.num_columns(); ++i) {
-    names.push_back(inner.column(i).QualifiedName());
-  }
-  return names;
-}
-
-}  // namespace
 
 Result<SubqueryVerdict> TestSubqueryAtMostOneMatch(
     const ExistsNode& node, const AnalysisOptions& options) {
@@ -52,9 +28,10 @@ Result<SubqueryVerdict> TestSubqueryAtMostOneMatch(
         "Theorem 2 applies to positive existential subqueries");
   }
   size_t outer_width = node.outer()->schema().num_columns();
-  verdict.proof.recorded = true;
-  verdict.proof.column_names = CombinedColumnNames(node);
   ProofTrace* proof = &verdict.proof;
+  proof->recorded = true;
+  AppendColumnNames(node.outer()->schema(), &proof->column_names);
+  AppendColumnNames(node.sub()->schema(), &proof->column_names);
 
   // Decompose the inner plan into base tables and inner-local predicates.
   UNIQOPT_ASSIGN_OR_RETURN(SpecShape inner_shape,
@@ -62,99 +39,57 @@ Result<SubqueryVerdict> TestSubqueryAtMostOneMatch(
 
   // Assemble the full C_S ∧ C_{R,S}: inner-local predicates shifted into
   // the combined (outer ⊕ inner) frame, plus the correlation predicate.
-  std::vector<ExprPtr> conjuncts;
+  std::vector<ExprPtr> predicates;
   for (const ExprPtr& pred : inner_shape.predicates) {
-    Result<ExprPtr> cnf =
-        ToCnf(ShiftColumns(pred, outer_width), options.normalize_budget);
-    if (!cnf.ok()) {
-      verdict.at_most_one_match = false;
-      verdict.trace.push_back("CNF budget exceeded; condition not proven");
-      proof->conclusion = "NOT PROVEN: CNF budget exceeded";
-      span.AddAttr("at_most_one_match", false);
-      return verdict;
-    }
-    for (const ExprPtr& c : FlattenAnd(*cnf)) conjuncts.push_back(c);
+    predicates.push_back(ShiftColumns(pred, outer_width));
   }
-  {
-    Result<ExprPtr> cnf = ToCnf(node.correlation(), options.normalize_budget);
-    if (!cnf.ok()) {
-      verdict.at_most_one_match = false;
-      verdict.trace.push_back("CNF budget exceeded; condition not proven");
-      proof->conclusion = "NOT PROVEN: CNF budget exceeded";
-      span.AddAttr("at_most_one_match", false);
-      return verdict;
-    }
-    for (const ExprPtr& c : FlattenAnd(*cnf)) conjuncts.push_back(c);
+  predicates.push_back(node.correlation());
+  bool over_budget = false;
+  std::vector<ExprPtr> conjuncts = CnfConjuncts(predicates, &over_budget);
+  if (over_budget) {
+    verdict.trace.push_back("CNF budget exceeded; condition not proven");
+    proof->conclusion = "NOT PROVEN: CNF budget exceeded";
+    span.AddAttr("at_most_one_match", false);
+    return verdict;
   }
 
   // Outer columns are constants for each candidate outer row.
   AttributeSet initially_bound = AttributeSet::AllUpTo(outer_width);
   verdict.trace.push_back("outer columns bound: " +
                           initially_bound.ToString());
-  AttributeSet bound = BoundColumnClosure(conjuncts, initially_bound, options,
-                                          &verdict.trace, nullptr, proof);
-  verdict.trace.push_back("closure V = " + bound.ToString());
+  KeyCoverageSinks sinks;
+  sinks.trace = &verdict.trace;
+  sinks.proof = proof;
+  if (options.collect_near_misses) {
+    sinks.near_misses = &verdict.near_misses;
+    sinks.goal = "theorem2.subquery_to_join";
+  }
+  KeyCoverage coverage =
+      ProveKeyCoverage(conjuncts, inner_shape.tables, outer_width,
+                       initially_bound, options, sinks);
+  verdict.trace.push_back("closure V = " + coverage.closure.ToString());
 
   // Every inner base table must have a covered candidate key.
-  for (const SpecShape::BaseTable& bt : inner_shape.tables) {
-    const TableDef& table = bt.get->table();
+  for (size_t i = 0; i < coverage.covering_keys.size(); ++i) {
+    const TableDef& table = inner_shape.tables[i].get->table();
+    if (const KeyConstraint* key = coverage.covering_keys[i]) {
+      verdict.trace.push_back("key " + key->name + " of inner table " +
+                              table.name() + " covered");
+      continue;
+    }
     if (!table.HasAnyKey()) {
-      verdict.at_most_one_match = false;
       verdict.trace.push_back("inner table " + table.name() +
                               " has no declared key");
       proof->conclusion = "NOT PROVEN: inner table " + table.name() +
                           " has no declared candidate key";
-      if (options.collect_near_misses) {
-        ComputeTableNearMiss("theorem2.subquery_to_join", table,
-                             bt.get->alias(), outer_width + bt.offset, bound,
-                             AttributeSet(), options, &verdict.near_misses);
-      }
-      span.AddAttr("at_most_one_match", false);
-      return verdict;
-    }
-    bool covered = false;
-    for (const KeyConstraint& key : table.keys()) {
-      if (key.kind == KeyKind::kUnique && !options.use_unique_keys) continue;
-      size_t shift = outer_width + bt.offset;
-      AttributeSet key_set =
-          AttributeSet::FromVector(key.columns).Shifted(shift);
-      bool this_covered = key_set.IsSubsetOf(bound);
-      {
-        ProofKeyOutcome outcome;
-        outcome.table = table.name();
-        outcome.alias = bt.get->alias();
-        outcome.key_name = key.name;
-        outcome.covered = this_covered;
-        for (size_t col : key.columns) {
-          size_t pos = shift + col;
-          outcome.key_columns.push_back(proof->NameOf(pos));
-          if (!bound.Contains(pos)) {
-            outcome.missing_columns.push_back(proof->NameOf(pos));
-          }
-        }
-        proof->keys.push_back(std::move(outcome));
-      }
-      if (this_covered) {
-        verdict.trace.push_back("key " + key.name + " of inner table " +
-                                table.name() + " covered");
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
-      verdict.at_most_one_match = false;
+    } else {
       verdict.trace.push_back("no key of inner table " + table.name() +
                               " is bound: more than one match possible");
       proof->conclusion = "NOT PROVEN: no candidate key of inner table " +
                           table.name() + " is covered by V";
-      if (options.collect_near_misses) {
-        ComputeTableNearMiss("theorem2.subquery_to_join", table,
-                             bt.get->alias(), outer_width + bt.offset, bound,
-                             AttributeSet(), options, &verdict.near_misses);
-      }
-      span.AddAttr("at_most_one_match", false);
-      return verdict;
     }
+    span.AddAttr("at_most_one_match", false);
+    return verdict;
   }
   verdict.at_most_one_match = true;
   verdict.trace.push_back(

@@ -48,11 +48,15 @@ Result<UniquenessVerdict> AnalyzeDistinctAlgorithm1(
 
 UniquenessVerdict AnalyzeDistinctFd(const PlanPtr& plan,
                                     const AnalysisOptions& options) {
+  PropertyMemo memo(options);
+  return AnalyzeDistinctFd(plan, &memo);
+}
+
+UniquenessVerdict AnalyzeDistinctFd(const PlanPtr& plan, PropertyMemo* memo) {
   UniquenessVerdict verdict;
   verdict.detector = DetectorKind::kFdPropagation;
-  const ProjectNode* project = As<ProjectNode>(plan);
   PlanPtr all_mode = plan;
-  if (project != nullptr) {
+  if (const ProjectNode* project = As<ProjectNode>(plan); project != nullptr) {
     verdict.has_distinct = project->mode() == DuplicateMode::kDist;
     if (verdict.has_distinct) {
       // Ask whether the *ALL-mode* projection is already duplicate-free;
@@ -61,24 +65,15 @@ UniquenessVerdict AnalyzeDistinctFd(const PlanPtr& plan,
                                    project->columns());
     }
     // For ALL-mode projections the question "would a DISTINCT here be
-    // redundant" is still well-defined (and what Algorithm 1 answers);
-    // fall through and compute it.
-    DerivedProperties props = DeriveProperties(all_mode, options);
-    verdict.distinct_unnecessary = props.IsDuplicateFree();
-    verdict.trace.push_back("derived properties: " + props.ToString());
-    verdict.trace.push_back(verdict.distinct_unnecessary
-                                ? "derived key exists: duplicates impossible"
-                                : "no derived key: duplicates possible");
-    return verdict;
+    // redundant" is still well-defined (and what Algorithm 1 answers).
   } else if (const SetOpNode* setop = As<SetOpNode>(plan);
              setop != nullptr && setop->mode() == DuplicateMode::kDist) {
     verdict.has_distinct = true;
     // Corollary 2 direction: ∩_Dist ≡ ∩_All when either operand is
     // duplicate-free (and likewise the result of −_All over a
     // duplicate-free left operand has no duplicates).
-    all_mode = nullptr;
-    DerivedProperties left = DeriveProperties(setop->left(), options);
-    DerivedProperties right = DeriveProperties(setop->right(), options);
+    const DerivedProperties& left = memo->Get(setop->left());
+    const DerivedProperties& right = memo->Get(setop->right());
     bool dup_free = setop->op() == SetOpAlgebra::kIntersect
                         ? (left.IsDuplicateFree() || right.IsDuplicateFree())
                         : left.IsDuplicateFree();
@@ -89,9 +84,9 @@ UniquenessVerdict AnalyzeDistinctFd(const PlanPtr& plan,
         (right.IsDuplicateFree() ? "yes" : "no"));
     return verdict;
   }
-  // Other shapes (bare set-op in ALL mode, Exists, ...): analyze the
-  // plan's own output directly.
-  DerivedProperties props = DeriveProperties(all_mode, options);
+  // Projections, and other shapes (bare set-op in ALL mode, Exists, ...)
+  // analyzed on the plan's own output.
+  const DerivedProperties& props = memo->Get(all_mode);
   verdict.distinct_unnecessary = props.IsDuplicateFree();
   verdict.trace.push_back("derived properties: " + props.ToString());
   verdict.trace.push_back(verdict.distinct_unnecessary
@@ -101,12 +96,14 @@ UniquenessVerdict AnalyzeDistinctFd(const PlanPtr& plan,
 }
 
 UniquenessVerdict AnalyzeDistinct(const PlanPtr& plan,
-                                  const Algorithm1Options& options) {
+                                  const Algorithm1Options& options,
+                                  PropertyMemo* memo) {
   Result<UniquenessVerdict> a1 = AnalyzeDistinctAlgorithm1(plan, options);
   if (a1.ok() && (a1->distinct_unnecessary || !a1->has_distinct)) {
     return *a1;
   }
-  UniquenessVerdict fd = AnalyzeDistinctFd(plan, options);
+  UniquenessVerdict fd = memo != nullptr ? AnalyzeDistinctFd(plan, memo)
+                                         : AnalyzeDistinctFd(plan, options);
   if (a1.ok() && !fd.distinct_unnecessary) {
     // Keep the (more readable) Algorithm 1 trace for NO verdicts.
     return *a1;

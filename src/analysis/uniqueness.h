@@ -50,10 +50,15 @@ Result<UniquenessVerdict> AnalyzeDistinctAlgorithm1(
 UniquenessVerdict AnalyzeDistinctFd(const PlanPtr& plan,
                                     const AnalysisOptions& options = {});
 
+/// Same, reading every derivation from `memo` (under its options).
+UniquenessVerdict AnalyzeDistinctFd(const PlanPtr& plan, PropertyMemo* memo);
+
 /// Combined analyzer: Algorithm 1 first (cheap, and the published
 /// artifact), falling back to FD propagation for shapes it cannot see.
+/// The fallback reads `memo` when given (built over `options`).
 UniquenessVerdict AnalyzeDistinct(const PlanPtr& plan,
-                                  const Algorithm1Options& options = {});
+                                  const Algorithm1Options& options = {},
+                                  PropertyMemo* memo = nullptr);
 
 }  // namespace uniqopt
 

@@ -68,13 +68,21 @@ ExprPtr MakeNullSafeCorrelation(const Schema& left, const Schema& right) {
 
 namespace {
 
+/// Bound on rule applications at one node (cycle guard).
+constexpr int kMaxIterationsPerNode = 8;
+
 class Rewriter {
  public:
-  explicit Rewriter(const RewriteOptions& options) : options_(options) {}
+  Rewriter(const RewriteOptions& options, const PlanPtr& root,
+           const UniquenessVerdict* root_verdict)
+      : options_(options),
+        memo_(options.analysis),
+        root_(root),
+        root_verdict_(root_verdict) {}
 
   Result<PlanPtr> Transform(const PlanPtr& node) {
     UNIQOPT_ASSIGN_OR_RETURN(PlanPtr current, TransformChildren(node));
-    for (int i = 0; i < options_.max_iterations_per_node; ++i) {
+    for (int i = 0; i < kMaxIterationsPerNode; ++i) {
       UNIQOPT_ASSIGN_OR_RETURN(PlanPtr next, ApplyRulesAt(current));
       if (next == current) break;
       current = std::move(next);
@@ -95,6 +103,14 @@ class Rewriter {
   void Harvest(std::vector<obs::NearMiss> misses) {
     for (obs::NearMiss& miss : misses) {
       near_misses_.push_back(std::move(miss));
+    }
+  }
+  // Theorem 3 near-misses: what would make either operand duplicate-free.
+  void HarvestSetOpOperands(const SetOpNode& setop) {
+    if (!CollectingNearMisses()) return;
+    for (const PlanPtr& operand : {setop.left(), setop.right()}) {
+      Harvest(CollectSpecNearMisses(operand, "theorem3.setop",
+                                    options_.analysis));
     }
   }
   Result<PlanPtr> TransformChildren(const PlanPtr& node) {
@@ -217,7 +233,10 @@ class Rewriter {
         p != nullptr && p->mode() == DuplicateMode::kDist) {
       Considered(RewriteRuleId::kRemoveRedundantDistinct);
       obs::Span span("rewrite.rule.RemoveRedundantDistinct");
-      UniquenessVerdict verdict = AnalyzeDistinct(node, options_.analysis);
+      UniquenessVerdict verdict =
+          node == root_ && root_verdict_ != nullptr
+              ? *root_verdict_
+              : AnalyzeDistinct(node, options_.analysis, &memo_);
       span.AddAttr("distinct_unnecessary", verdict.distinct_unnecessary);
       span.AddAttr("detector", verdict.detector == DetectorKind::kAlgorithm1
                                    ? "algorithm1"
@@ -245,9 +264,8 @@ class Rewriter {
         s != nullptr && s->mode() == DuplicateMode::kDist) {
       Considered(RewriteRuleId::kRemoveRedundantDistinct);
       obs::Span span("rewrite.rule.RemoveRedundantDistinct");
-      DerivedProperties left = DeriveProperties(s->left(), options_.analysis);
-      DerivedProperties right =
-          DeriveProperties(s->right(), options_.analysis);
+      const DerivedProperties& left = memo_.Get(s->left());
+      const DerivedProperties& right = memo_.Get(s->right());
       bool equivalent =
           s->op() == SetOpAlgebra::kIntersect
               ? (left.IsDuplicateFree() || right.IsDuplicateFree())
@@ -268,12 +286,7 @@ class Rewriter {
         return *after;
       }
       Rejected(RewriteRuleId::kRemoveRedundantDistinct);
-      if (CollectingNearMisses()) {
-        Harvest(CollectSpecNearMisses(s->left(), "theorem3.setop",
-                                      options_.analysis));
-        Harvest(CollectSpecNearMisses(s->right(), "theorem3.setop",
-                                      options_.analysis));
-      }
+      HarvestSetOpOperands(*s);
     }
     return node;
   }
@@ -340,8 +353,8 @@ class Rewriter {
       obs::Span span("rewrite.rule.SubqueryToDistinctJoin");
       PlanPtr outer_projection = ProjectNode::Make(
           exists->outer(), DuplicateMode::kAll, project->columns());
-      bool outer_unique =
-          IsProvablyDuplicateFree(outer_projection, options_.analysis);
+      const DerivedProperties& outer = memo_.Get(outer_projection);
+      bool outer_unique = outer.IsDuplicateFree();
       span.AddAttr("outer_duplicate_free", outer_unique);
       if (outer_unique) {
         PlanPtr after = rebuild_as_join(DuplicateMode::kDist);
@@ -350,7 +363,7 @@ class Rewriter {
         evidence.after = after;
         evidence.facts = {
             "outer projection duplicate-free (Corollary 1): " +
-            DeriveProperties(outer_projection, options_.analysis).ToString()};
+            outer.ToString()};
         Record(RewriteRuleId::kSubqueryToDistinctJoin,
                "EXISTS converted to DISTINCT join (Corollary 1: outer "
                "duplicate-free)",
@@ -375,9 +388,8 @@ class Rewriter {
   Result<PlanPtr> TrySetOpToExists(const PlanPtr& node) {
     const SetOpNode* setop = As<SetOpNode>(node);
     if (setop == nullptr) return node;
-    DerivedProperties left = DeriveProperties(setop->left(), options_.analysis);
-    DerivedProperties right =
-        DeriveProperties(setop->right(), options_.analysis);
+    const DerivedProperties& left = memo_.Get(setop->left());
+    const DerivedProperties& right = memo_.Get(setop->right());
 
     if (setop->op() == SetOpAlgebra::kIntersect) {
       bool enabled = setop->mode() == DuplicateMode::kDist
@@ -427,12 +439,7 @@ class Rewriter {
         return after;
       }
       Rejected(rule);
-      if (CollectingNearMisses()) {
-        Harvest(CollectSpecNearMisses(setop->left(), "theorem3.setop",
-                                      options_.analysis));
-        Harvest(CollectSpecNearMisses(setop->right(), "theorem3.setop",
-                                      options_.analysis));
-      }
+      HarvestSetOpOperands(*setop);
       return node;
     }
 
@@ -469,7 +476,8 @@ class Rewriter {
     ExprPtr expected = MakeNullSafeCorrelation(left, right);
     if (!exists->correlation()->Equals(*expected)) return node;
     Considered(RewriteRuleId::kExistsToIntersect);
-    if (!IsProvablyDuplicateFree(exists->outer(), options_.analysis)) {
+    const DerivedProperties& outer = memo_.Get(exists->outer());
+    if (!outer.IsDuplicateFree()) {
       Rejected(RewriteRuleId::kExistsToIntersect);
       return node;
     }
@@ -481,8 +489,7 @@ class Rewriter {
     evidence.before = node;
     evidence.after = *setop;
     evidence.facts = {
-        "outer block duplicate-free: " +
-            DeriveProperties(exists->outer(), options_.analysis).ToString(),
+        "outer block duplicate-free: " + outer.ToString(),
         "correlation is the exact null-safe tuple equality"};
     Record(RewriteRuleId::kExistsToIntersect,
            "null-safe EXISTS converted to INTERSECT (outer "
@@ -506,8 +513,7 @@ class Rewriter {
       }
     }
     Considered(RewriteRuleId::kEliminateGroupByOnKey);
-    DerivedProperties props =
-        DeriveProperties(agg->input(), options_.analysis);
+    const DerivedProperties& props = memo_.Get(agg->input());
     AttributeSet group_set =
         AttributeSet::FromVector(agg->group_columns());
     AttributeSet closure = props.fds.Closure(group_set);
@@ -989,6 +995,9 @@ class Rewriter {
   }
 
   const RewriteOptions& options_;
+  PropertyMemo memo_;
+  const PlanPtr root_;
+  const UniquenessVerdict* root_verdict_;
   std::vector<AppliedRewrite> applied_;
   std::vector<obs::NearMiss> near_misses_;
 };
@@ -996,13 +1005,14 @@ class Rewriter {
 }  // namespace
 
 Result<RewriteResult> RewritePlan(const PlanPtr& plan,
-                                  const RewriteOptions& options) {
+                                  const RewriteOptions& options,
+                                  const UniquenessVerdict* root_verdict) {
   obs::Span span("rewrite.plan");
   obs::MetricsRegistry::Global().GetCounter("rewrite.plans").Increment();
   static obs::Histogram& latency =
       obs::MetricsRegistry::Global().GetHistogram("rewrite.plan.ns");
   obs::ScopedLatencyTimer timer(&latency);
-  Rewriter rewriter(options);
+  Rewriter rewriter(options, plan, root_verdict);
   RewriteResult result;
   UNIQOPT_ASSIGN_OR_RETURN(result.plan, rewriter.Transform(plan));
   result.applied = rewriter.TakeApplied();

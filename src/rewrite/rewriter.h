@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/algorithm1.h"
+#include "analysis/uniqueness.h"
 #include "common/result.h"
 #include "obs/advisor.h"
 #include "plan/plan.h"
@@ -94,8 +94,6 @@ struct RewriteOptions {
   /// whenever semantically possible, even without a uniqueness proof
   /// (uses DISTINCT-join). Used by comparison benchmarks.
   bool starburst_always_join = false;
-  /// Bound on rule applications at one node (cycle guard).
-  int max_iterations_per_node = 8;
 };
 
 /// Soundness evidence attached to every applied rewrite: the node the
@@ -150,9 +148,16 @@ struct RewriteResult {
 
 /// Applies the enabled rules bottom-up until fixpoint. Every rewrite is
 /// semantics-preserving under the multiset (ALL) semantics of §2.2,
-/// gated on the corresponding theorem's condition.
-Result<RewriteResult> RewritePlan(const PlanPtr& plan,
-                                  const RewriteOptions& options = {});
+/// gated on the corresponding theorem's condition. Each node's derived
+/// properties are computed at most once per call.
+///
+/// `root_verdict`, when given, must be `AnalyzeDistinct(plan,
+/// options.analysis)` as the caller already computed it (the optimizer's
+/// analyze phase); DISTINCT removal reuses it at `plan` itself instead of
+/// proving it again. The result is the same with or without it.
+Result<RewriteResult> RewritePlan(
+    const PlanPtr& plan, const RewriteOptions& options = {},
+    const UniquenessVerdict* root_verdict = nullptr);
 
 /// Builds the null-safe tuple-equivalence predicate of Theorem 3 over
 /// Concat(left, right): for every column i,

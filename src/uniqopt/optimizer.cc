@@ -188,7 +188,8 @@ Result<PreparedQuery> Optimizer::PrepareUncached(
   {
     static const PhaseDef kRewrite = MakePhaseDef("rewrite");
     Phase phase(kRewrite, &out.phase_ns);
-    auto r = RewritePlan(bound.plan, effective_options);
+    // DISTINCT removal at the unchanged root reuses the verdict above.
+    auto r = RewritePlan(bound.plan, effective_options, &out.analysis);
     if (!r.ok()) {
       RecordFailure(sql, r.status(), std::move(out.phase_ns));
       return r.status();

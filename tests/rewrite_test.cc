@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "analysis/properties.h"
+#include "obs/metrics.h"
 #include "rewrite/rewriter.h"
 #include "test_util.h"
+#include "uniqopt/optimizer.h"
 #include "workload/supplier_schema.h"
 
 namespace uniqopt {
@@ -323,6 +325,62 @@ TEST_F(RewriteTest, HostVarQueriesPreserveResultsAcrossParams) {
       "P.PNO = :PN)";
   for (int64_t pn : {1, 5, 10, 99}) {
     RewriteAndCheck(sql, {{"PN", Value::Integer(pn)}});
+  }
+}
+
+/// Everything a RewriteResult reports, as text.
+std::string DescribeRewrite(const RewriteResult& r) {
+  std::string out = r.plan->ToString();
+  for (const AppliedRewrite& a : r.applied) {
+    out += std::string(RewriteRuleIdToString(a.rule)) + ": " + a.description +
+           "\n" + a.evidence.before->ToString() +
+           a.evidence.after->ToString() + a.evidence.proof.ToText();
+    for (const std::string& fact : a.evidence.facts) out += fact + "\n";
+  }
+  for (const obs::NearMiss& miss : r.near_misses) {
+    out += miss.ToString() + " " + miss.alias + " " + miss.bound_columns +
+           "\n";
+  }
+  return out;
+}
+
+// A cold Prepare proves a DISTINCT spec query once: the rewriter reuses
+// the analyze-phase verdict at the unchanged root. Seeding RewritePlan
+// with that verdict changes nothing in its result.
+TEST_F(RewriteTest, ColdPrepareRunsAlgorithm1Once) {
+  const std::string example1 =
+      "SELECT DISTINCT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P "
+      "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
+  obs::Counter& runs =
+      obs::MetricsRegistry::Global().GetCounter("analysis.algorithm1.runs");
+  Optimizer optimizer(&db_);
+  uint64_t before = runs.value();
+  auto prepared = optimizer.Prepare(example1);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_FALSE(prepared->cache_hit);
+  EXPECT_EQ(runs.value() - before, 1u);
+  EXPECT_TRUE(prepared->analysis.distinct_unnecessary);
+  EXPECT_TRUE(prepared->rewrites.size() >= 1 &&
+              prepared->rewrites[0].rule ==
+                  RewriteRuleId::kRemoveRedundantDistinct);
+
+  const std::string example2 =
+      "SELECT DISTINCT S.SNAME, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P "
+      "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
+  for (const std::string& sql : {example1, example2}) {
+    PlanPtr plan = Bind(sql);
+    ASSERT_NE(plan, nullptr);
+    RewriteOptions options;
+    options.analysis.collect_near_misses = true;
+    UniquenessVerdict verdict = AnalyzeDistinct(plan, options.analysis);
+    before = runs.value();
+    auto seeded = RewritePlan(plan, options, &verdict);
+    EXPECT_EQ(runs.value() - before, 0u) << sql;
+    auto unseeded = RewritePlan(plan, options);
+    EXPECT_EQ(runs.value() - before, 1u) << sql;
+    ASSERT_TRUE(seeded.ok() && unseeded.ok());
+    EXPECT_EQ(DescribeRewrite(*seeded), DescribeRewrite(*unseeded)) << sql;
+    EXPECT_EQ(seeded->near_misses.empty(), sql == example1) << sql;
   }
 }
 
