@@ -14,8 +14,9 @@
 #                 sentinel_test, whose hammer drives the plane's Tick()
 #                 against an 8-thread PrepareBatch) under ThreadSanitizer,
 #                 plus the parallel-execution hammers: cost_model_test
-#                 (the formerly racy NDV cache under concurrent
-#                 DistinctCount) and parallel_exec_test (concurrent
+#                 (per-version column statistics filled by concurrent
+#                 readers while a writer commits DML) and
+#                 parallel_exec_test (concurrent
 #                 PrepareBatch + morsel-parallel Execute, shared join
 #                 builds, the sweep comparing serial and parallel runs
 #                 against the reference interpreter),

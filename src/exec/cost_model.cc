@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "exec/index_exec.h"
 #include "expr/equality.h"
@@ -12,43 +11,19 @@ namespace uniqopt {
 
 namespace {
 
-/// Hash/equality for single values under `=!`.
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const {
-    return a.NullSafeEquals(b);
-  }
-};
-
 double Log2(double x) { return x <= 2 ? 1.0 : std::log2(x); }
 
 }  // namespace
 
 double CostEstimator::DistinctCount(const std::string& table,
                                     size_t column) const {
-  auto key = std::make_pair(table, column);
-  {
-    std::lock_guard<std::mutex> lock(ndv_mu_);
-    auto it = ndv_cache_.find(key);
-    if (it != ndv_cache_.end()) return it->second;
-  }
-  // Compute outside the lock: the scan is the expensive part, and a
-  // duplicate computation by a racing thread yields the same value.
-  double ndv = 1;
   auto t = db_->GetTable(table);
-  if (t.ok()) {
-    // Scan a pinned snapshot: concurrent DML commits must not move the
-    // row storage under this read.
-    TableSnapshot snapshot = (*t)->Snapshot();
-    std::unordered_set<Value, ValueHash, ValueEq> values;
-    for (const Row& row : snapshot->rows) values.insert(row[column]);
-    ndv = std::max<size_t>(1, values.size());
-  }
-  std::lock_guard<std::mutex> lock(ndv_mu_);
-  ndv_cache_.emplace(key, ndv);
-  return ndv;
+  if (!t.ok()) return 1;
+  // The statistics live with the pinned version: concurrent DML commits
+  // publish a new version, and this one's counts stay exact for it.
+  TableSnapshot snapshot = (*t)->Snapshot();
+  return static_cast<double>(
+      std::max<size_t>(1, snapshot->DistinctCount(column)));
 }
 
 double CostEstimator::ColumnDistinct(const PlanPtr& plan,

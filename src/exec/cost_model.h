@@ -1,8 +1,6 @@
 #ifndef UNIQOPT_EXEC_COST_MODEL_H_
 #define UNIQOPT_EXEC_COST_MODEL_H_
 
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,8 +36,9 @@ class CostEstimator {
   PlanEstimate Estimate(const PlanPtr& plan,
                         const PhysicalOptions& options) const;
 
-  /// Number of distinct (under `=!`) values in a base-table column,
-  /// computed on first use and cached.
+  /// Number of distinct (under `=!`) values in a base-table column of
+  /// the current committed version (TableVersion::DistinctCount: counted
+  /// once per version, then shared by every prepare that reads it).
   double DistinctCount(const std::string& table, size_t column) const;
 
  private:
@@ -56,12 +55,6 @@ class CostEstimator {
   double ColumnDistinct(const PlanPtr& plan, size_t column) const;
 
   const Database* db_;
-  /// One estimator may be shared by concurrent preparations (the
-  /// optimizer's PrepareBatch costs plans from worker threads), and
-  /// DistinctCount fills this cache from const methods — every access
-  /// goes through the mutex.
-  mutable std::mutex ndv_mu_;
-  mutable std::map<std::pair<std::string, size_t>, double> ndv_cache_;
 };
 
 /// A physical alternative considered by the chooser.

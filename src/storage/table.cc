@@ -2,15 +2,79 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "common/string_util.h"
 #include "obs/advisor.h"
+#include "obs/metrics.h"
 #include "parser/ast.h"
 #include "parser/parser.h"
 #include "plan/binder.h"
 
 namespace uniqopt {
+
+namespace {
+
+/// Hash/equality for single values under `=!`.
+struct ValueHash {
+  size_t operator()(const Value& v) const { return v.Hash(); }
+};
+struct ValueEq {
+  bool operator()(const Value& a, const Value& b) const {
+    return a.NullSafeEquals(b);
+  }
+};
+
+}  // namespace
+
+std::optional<size_t> ColumnStats::FindDistinct(size_t column) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return column < ndv_.size() ? ndv_[column] : std::nullopt;
+}
+
+void ColumnStats::StoreDistinct(size_t column, size_t ndv) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (column >= ndv_.size()) ndv_.resize(column + 1);
+  ndv_[column] = ndv;
+  filled_.store(true, std::memory_order_release);
+}
+
+void ColumnStats::Reset() {
+  if (!filled_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  ndv_.clear();
+  filled_.store(false, std::memory_order_release);
+}
+
+size_t TableVersion::DistinctCount(size_t column) const {
+  if (std::optional<size_t> cached = stats.FindDistinct(column)) {
+    return *cached;
+  }
+  static obs::Counter& scans =
+      obs::MetricsRegistry::Global().GetCounter("cost.ndv.scans");
+  static obs::Counter& key_shortcuts =
+      obs::MetricsRegistry::Global().GetCounter("cost.ndv.key_shortcuts");
+  // Computed outside the lock: a racing reader of the same column
+  // computes the same exact count.
+  const bool single_column_key = std::any_of(
+      indexes.begin(), indexes.end(), [column](const UniqueIndex& index) {
+        return index.key_columns().size() == 1 &&
+               index.key_columns()[0] == column;
+      });
+  size_t ndv = 0;
+  if (single_column_key) {
+    key_shortcuts.Increment();
+    ndv = rows.size();
+  } else {
+    scans.Increment();
+    std::unordered_set<Value, ValueHash, ValueEq> values;
+    for (const Row& row : rows) values.insert(row[column]);
+    ndv = values.size();
+  }
+  stats.StoreDistinct(column, ndv);
+  return ndv;
+}
 
 std::shared_ptr<TableVersion> Table::NewVersion(const TableDef* def) {
   auto version = std::make_shared<TableVersion>();
@@ -144,6 +208,8 @@ Status Table::Insert(Row row) {
   std::shared_ptr<TableVersion> target = version_;
   if (version_.use_count() > 2) {  // version_ + target
     target = std::make_shared<TableVersion>(*version_);
+  } else {
+    target->stats.Reset();  // the rows change under the filled counts
   }
   const size_t ordinal = target->rows.size();
   for (size_t k = 0; k < target->indexes.size(); ++k) {

@@ -1,8 +1,10 @@
 #ifndef UNIQOPT_STORAGE_TABLE_H_
 #define UNIQOPT_STORAGE_TABLE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,30 @@
 
 namespace uniqopt {
 
+/// Exact per-column statistics of one TableVersion, filled on first
+/// read and shared by every reader that pins the version. A copy starts
+/// empty: writers derive the next version with
+/// `make_shared<TableVersion>(*snap)` and then change its rows, so
+/// statistics never travel to a version they do not describe.
+class ColumnStats {
+ public:
+  ColumnStats() = default;
+  ColumnStats(const ColumnStats&) {}
+  ColumnStats& operator=(const ColumnStats&) = delete;
+
+  std::optional<size_t> FindDistinct(size_t column) const;
+  void StoreDistinct(size_t column, size_t ndv) const;
+
+  /// Drops every filled statistic. For the in-place append of an
+  /// unpinned version only; a lock-free no-op while nothing is filled.
+  void Reset();
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::vector<std::optional<size_t>> ndv_;  // by column ordinal
+  mutable std::atomic<bool> filled_{false};
+};
+
 /// One immutable, committed state of a table: the rows plus one unique
 /// hash index per declared key (`indexes[k]` serves `def().keys()[k]`).
 /// Versions are published whole — rows and indexes always agree — and
@@ -23,6 +49,13 @@ namespace uniqopt {
 struct TableVersion {
   std::vector<Row> rows;
   std::vector<UniqueIndex> indexes;
+  ColumnStats stats;
+
+  /// Number of distinct values, under `=!`, in `column`: computed on
+  /// first read, then served from `stats`. A column that is by itself a
+  /// declared key needs no scan — its unique index admits every row
+  /// once, NULL included — so its count is the row count. Thread-safe.
+  size_t DistinctCount(size_t column) const;
 };
 
 using TableSnapshot = std::shared_ptr<const TableVersion>;

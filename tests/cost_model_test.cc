@@ -3,16 +3,47 @@
 
 #include <atomic>
 #include <thread>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
 #include "exec/cost_model.h"
+#include "obs/metrics.h"
 #include "test_util.h"
+#include "txn/dml_executor.h"
 #include "uniqopt/uniqopt.h"
 #include "workload/supplier_schema.h"
 
 namespace uniqopt {
 namespace {
+
+// PARTS column ordinals (workload/supplier_schema.cc).
+constexpr size_t kPartsPno = 1;
+constexpr size_t kPartsColor = 4;
+
+uint64_t NdvScans() {
+  return obs::MetricsRegistry::Global().GetCounter("cost.ndv.scans").value();
+}
+
+uint64_t NdvKeyShortcuts() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("cost.ndv.key_shortcuts")
+      .value();
+}
+
+/// The reference count: every value of `column` in `snap`, deduplicated
+/// under `=!` by a plain set, with no statistics involved.
+size_t ScanDistinct(const TableSnapshot& snap, size_t column) {
+  std::unordered_set<Row, RowHash, RowNullSafeEqual> values;
+  for (const Row& row : snap->rows) values.insert(Row({row[column]}));
+  return values.size();
+}
+
+TableSnapshot Pin(const Database& db, const std::string& table) {
+  auto t = db.GetTable(table);
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return (*t)->Snapshot();
+}
 
 class CostModelTest : public ::testing::Test {
  protected:
@@ -147,25 +178,204 @@ TEST_F(CostModelTest, EstimatesAreOrderOfMagnitudeSane) {
 }
 
 TEST_F(CostModelTest, ConcurrentDistinctCountIsRaceFree) {
-  // One estimator shared by many threads, all filling the NDV cache —
-  // the exact situation concurrent PrepareBatch puts the cost phase in.
-  // Run under TSan (scripts/check.sh --tsan) this is the regression
-  // test for the formerly unguarded mutable ndv_cache_.
-  std::vector<std::thread> pool;
+  // Eight readers fill the statistics of whatever PARTS version they
+  // pin — many of them the same shared version — while a writer keeps
+  // committing DML that publishes new versions. Run under TSan
+  // (scripts/check.sh --tsan) this is the race test for ColumnStats;
+  // every reader also checks that the count it was served is the exact
+  // count of the version it pinned.
   std::atomic<bool> mismatch{false};
-  auto worker = [&] {
-    for (int round = 0; round < 20; ++round) {
+  std::atomic<bool> writer_failed{false};
+  auto reader = [&] {
+    for (int round = 0; round < 15; ++round) {
+      TableSnapshot snap = Pin(db_, "PARTS");
+      for (size_t column : {kPartsPno, kPartsColor}) {
+        if (snap->DistinctCount(column) != ScanDistinct(snap, column)) {
+          mismatch.store(true);
+        }
+      }
       if (estimator_->DistinctCount("SUPPLIER", 0) != 200.0 ||
-          estimator_->DistinctCount("PARTS", 1) != 10.0 ||
-          estimator_->DistinctCount("PARTS", 0) <= 0.0) {
+          estimator_->DistinctCount("PARTS", kPartsPno) < 10.0) {
         mismatch.store(true);
       }
     }
   };
-  for (int t = 0; t < 7; ++t) pool.emplace_back(worker);
-  worker();
+  auto writer = [&] {
+    txn::DmlExecutor dml(&db_);
+    for (int i = 0; i < 12; ++i) {
+      const std::string pno = std::to_string(100 + i);
+      const std::string statements[] = {
+          "INSERT INTO PARTS VALUES (1, " + pno + ", 'NEW', " +
+              std::to_string(90000 + i) + ", 'BLUE')",
+          "UPDATE PARTS SET COLOR = 'RED' WHERE PNO = " + pno,
+          "DELETE FROM PARTS WHERE SNO = " + std::to_string(200 - i) +
+              " AND PNO = 10"};
+      for (const std::string& sql : statements) {
+        if (!dml.ExecuteSql(sql).ok()) writer_failed.store(true);
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.emplace_back(writer);
+  for (int t = 0; t < 7; ++t) pool.emplace_back(reader);
+  reader();
   for (std::thread& t : pool) t.join();
   EXPECT_FALSE(mismatch.load());
+  EXPECT_FALSE(writer_failed.load());
+}
+
+TEST_F(CostModelTest, KeyColumnDistinctCountIsTheRowCount) {
+  // SUPPLIER.SNO is a NOT NULL primary key: its count is read off the
+  // version's row count, never scanned.
+  const uint64_t scans = NdvScans();
+  const uint64_t shortcuts = NdvKeyShortcuts();
+  TableSnapshot snap = Pin(db_, "SUPPLIER");
+  EXPECT_EQ(snap->DistinctCount(0), ScanDistinct(snap, 0));
+  EXPECT_EQ(snap->DistinctCount(0), 200u);
+  EXPECT_EQ(NdvScans() - scans, 0u);
+  EXPECT_EQ(NdvKeyShortcuts() - shortcuts, 1u);
+}
+
+TEST_F(CostModelTest, NullableUniqueColumnShortcutCountsItsOneNull) {
+  // UNIQUE (B) admits one NULL under `=!`, which is one more distinct
+  // value — so the row count is still exact. C is only part of the
+  // composite key (C, D) and must be scanned.
+  Database db;
+  ASSERT_OK(db.ExecuteDdl(
+      "CREATE TABLE T (A INTEGER NOT NULL, B INTEGER, C INTEGER, "
+      "D INTEGER, PRIMARY KEY (A), UNIQUE (B), UNIQUE (C, D))"));
+  ASSERT_OK_AND_ASSIGN(Table * t, db.GetTable("T"));
+  for (int64_t i = 1; i <= 50; ++i) {
+    ASSERT_OK(t->InsertValues(
+        {Value::Integer(i),
+         i == 7 ? Value::Null(TypeId::kInteger) : Value::Integer(i * 3),
+         Value::Integer(i % 5), Value::Integer(i)}));
+  }
+  TableSnapshot snap = t->Snapshot();
+  uint64_t scans = NdvScans();
+  uint64_t shortcuts = NdvKeyShortcuts();
+  EXPECT_EQ(snap->DistinctCount(1), 50u);
+  EXPECT_EQ(snap->DistinctCount(1), ScanDistinct(snap, 1));
+  EXPECT_EQ(NdvScans() - scans, 0u);
+  EXPECT_EQ(NdvKeyShortcuts() - shortcuts, 1u);
+
+  scans = NdvScans();
+  shortcuts = NdvKeyShortcuts();
+  EXPECT_EQ(snap->DistinctCount(2), 5u);
+  EXPECT_EQ(snap->DistinctCount(2), ScanDistinct(snap, 2));
+  EXPECT_EQ(NdvScans() - scans, 1u);
+  EXPECT_EQ(NdvKeyShortcuts() - shortcuts, 0u);
+}
+
+TEST_F(CostModelTest, DistinctCountsFollowDmlCommits) {
+  txn::DmlExecutor dml(&db_);
+  auto expect_current = [&](size_t column, double expected) {
+    EXPECT_DOUBLE_EQ(estimator_->DistinctCount("PARTS", column), expected);
+    EXPECT_EQ(estimator_->DistinctCount("PARTS", column),
+              static_cast<double>(ScanDistinct(Pin(db_, "PARTS"), column)));
+  };
+  expect_current(kPartsPno, 10);
+  expect_current(kPartsColor, 4);
+  ASSERT_OK(dml.ExecuteSql(
+                   "INSERT INTO PARTS VALUES (1, 11, 'NEW', 90001, 'RED')")
+                .status());
+  expect_current(kPartsPno, 11);
+  ASSERT_OK(dml.ExecuteSql("UPDATE PARTS SET COLOR = 'RED'").status());
+  expect_current(kPartsColor, 1);
+  ASSERT_OK(dml.ExecuteSql("DELETE FROM PARTS WHERE PNO > 5").status());
+  expect_current(kPartsPno, 5);
+}
+
+TEST_F(CostModelTest, DistinctCountsFollowCreateUniqueIndex) {
+  // The index publishes a new version with the same rows: its count is
+  // recomputed (now through the key shortcut), not carried over.
+  ASSERT_OK(db_.ExecuteDdl("CREATE TABLE T (A INTEGER, B INTEGER)"));
+  ASSERT_OK_AND_ASSIGN(Table * t, db_.GetTable("T"));
+  for (int64_t i = 0; i < 30; ++i) {
+    ASSERT_OK(t->InsertValues({Value::Integer(i % 3), Value::Integer(i)}));
+  }
+  uint64_t scans = NdvScans();
+  EXPECT_DOUBLE_EQ(estimator_->DistinctCount("T", 1), 30.0);
+  EXPECT_EQ(NdvScans() - scans, 1u);
+  ASSERT_OK(db_.CreateUniqueIndex("T", "uq_t_b", {"B"}).status());
+  scans = NdvScans();
+  const uint64_t shortcuts = NdvKeyShortcuts();
+  EXPECT_DOUBLE_EQ(estimator_->DistinctCount("T", 1), 30.0);
+  EXPECT_EQ(NdvScans() - scans, 0u);
+  EXPECT_EQ(NdvKeyShortcuts() - shortcuts, 1u);
+}
+
+TEST_F(CostModelTest, DistinctCountsFollowClear) {
+  ASSERT_OK_AND_ASSIGN(Table * parts, db_.GetTable("PARTS"));
+  EXPECT_DOUBLE_EQ(estimator_->DistinctCount("PARTS", kPartsPno), 10.0);
+  parts->Clear();
+  EXPECT_EQ(Pin(db_, "PARTS")->DistinctCount(kPartsPno), 0u);
+  ASSERT_OK(parts->InsertValues({Value::Integer(1), Value::Integer(1),
+                                 Value::String("A"), Value::Integer(1),
+                                 Value::String("RED")}));
+  ASSERT_OK(parts->InsertValues({Value::Integer(1), Value::Integer(2),
+                                 Value::String("B"), Value::Integer(2),
+                                 Value::String("RED")}));
+  EXPECT_DOUBLE_EQ(estimator_->DistinctCount("PARTS", kPartsPno), 2.0);
+}
+
+TEST_F(CostModelTest, DistinctCountsFollowInPlaceBulkInsert) {
+  // With no snapshot pinned, Table::Insert appends to the current
+  // version in place instead of publishing a new one — the counts
+  // filled before the append must not survive it.
+  ASSERT_OK_AND_ASSIGN(Table * parts, db_.GetTable("PARTS"));
+  EXPECT_DOUBLE_EQ(estimator_->DistinctCount("PARTS", kPartsPno), 10.0);
+  const TableVersion* before = parts->Snapshot().get();
+  ASSERT_OK(parts->InsertValues({Value::Integer(1), Value::Integer(11),
+                                 Value::String("NEW"), Value::Integer(90001),
+                                 Value::String("RED")}));
+  ASSERT_EQ(parts->Snapshot().get(), before) << "expected the in-place path";
+  EXPECT_DOUBLE_EQ(estimator_->DistinctCount("PARTS", kPartsPno), 11.0);
+}
+
+TEST_F(CostModelTest, PinnedSnapshotKeepsItsOwnCounts) {
+  TableSnapshot pinned = Pin(db_, "PARTS");
+  EXPECT_EQ(pinned->DistinctCount(kPartsPno), 10u);
+  txn::DmlExecutor dml(&db_);
+  ASSERT_OK(dml.ExecuteSql(
+                   "INSERT INTO PARTS VALUES (1, 11, 'NEW', 90001, 'RED')")
+                .status());
+  EXPECT_EQ(pinned->DistinctCount(kPartsPno), 10u);
+  EXPECT_EQ(pinned->DistinctCount(kPartsPno), ScanDistinct(pinned, kPartsPno));
+  EXPECT_DOUBLE_EQ(estimator_->DistinctCount("PARTS", kPartsPno), 11.0);
+}
+
+TEST_F(CostModelTest, RepeatedCostBasedPrepareScansOnlyChangedTables) {
+  Optimizer optimizer(&db_, RewriteOptions{}, /*use_cost_model=*/true);
+  const std::string sql =
+      "SELECT DISTINCT S.SNAME, P.COLOR FROM SUPPLIER S, PARTS P "
+      "WHERE S.SNO = P.SNO AND P.PNO = 3";
+  auto prepare_scans = [&]() -> uint64_t {
+    const uint64_t before = NdvScans();
+    auto prepared = optimizer.Prepare(sql);
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+    EXPECT_TRUE(prepared.ok() && prepared->cost_based);
+    return NdvScans() - before;
+  };
+  const uint64_t first = prepare_scans();
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(prepare_scans(), 0u) << "unchanged db: every count is served";
+
+  // A commit to PARTS rescans PARTS columns only, one to SUPPLIER only
+  // SUPPLIER's; together they redo exactly the first prepare's scans.
+  txn::DmlExecutor dml(&db_);
+  ASSERT_OK(dml.ExecuteSql(
+                   "INSERT INTO PARTS VALUES (1, 11, 'NEW', 90001, 'RED')")
+                .status());
+  const uint64_t parts_rescans = prepare_scans();
+  ASSERT_OK(dml.ExecuteSql("INSERT INTO SUPPLIER VALUES (201, 'NEWCO', "
+                           "'Toronto', 5.0, 'Active')")
+                .status());
+  const uint64_t supplier_rescans = prepare_scans();
+  EXPECT_GT(parts_rescans, 0u);
+  EXPECT_GT(supplier_rescans, 0u);
+  EXPECT_EQ(parts_rescans + supplier_rescans, first);
+  EXPECT_EQ(prepare_scans(), 0u);
 }
 
 TEST_F(CostModelTest, ParallelAlternativeWinsOnlyForLargeWork) {

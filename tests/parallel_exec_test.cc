@@ -352,9 +352,9 @@ TEST_F(ParallelExecTest, SerialFallbackForUnsupportedShapes) {
   EXPECT_EQ(stats.ToString(), serial_stats.ToString());
 }
 
-// TSan hammer: concurrent PrepareBatch (cost model on, so the shared
-// CostEstimator's NDV cache is hit from many threads) interleaved with
-// parallel executes on a second optimizer.
+// TSan hammer: concurrent PrepareBatch (cost model on, so the per-
+// version column statistics are filled and read from many threads)
+// interleaved with parallel executes on a second optimizer.
 TEST_F(ParallelExecTest, ConcurrentPrepareAndParallelExecuteHammer) {
   Optimizer costed(&db_, RewriteOptions{}, /*use_cost_model=*/true);
   costed.set_verify_plans(false);
