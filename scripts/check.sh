@@ -5,7 +5,8 @@
 # observability tests (the registry, tracer and flight recorder are the
 # concurrent code in the tree — sanitize them every time) and of the
 # analysis/rewrite tests (the rewriter's property memo keys plan nodes
-# by address).
+# by address) and of the executor's hash-operator tests (one flat key
+# table indexes a row store by ordinal).
 #
 # Optional modes:
 #   --tsan        additionally build & run the concurrent obs tests and
@@ -18,8 +19,10 @@
 #                 readers while a writer commits DML) and
 #                 parallel_exec_test (concurrent
 #                 PrepareBatch + morsel-parallel Execute, shared join
-#                 builds, the sweep comparing serial and parallel runs
-#                 against the reference interpreter),
+#                 and semi/anti-join builds, the sweep comparing serial
+#                 and parallel runs against the reference interpreter)
+#                 and key_table_test (every hash operator at dop 4:
+#                 shared builds, the DISTINCT and aggregation merges),
 #                 plus the DML plane hammers: dml_test and
 #                 dml_oracle_test (8 threads of single-writer commits
 #                 racing snapshot readers over the COW table versions)
@@ -181,7 +184,8 @@ cmake --build build-asan -j --target obs_test analysis_test \
   timeseries_test sentinel_test equiv_test cost_model_test \
   parallel_exec_test dml_test index_exec_test dml_oracle_test \
   rewrite_test sweep_test property_test groupby_test \
-  proof_characterization_test
+  proof_characterization_test key_table_test batch_boundary_test \
+  operators_test exec_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/analysis_test
 ./build-asan/tests/export_test
@@ -203,6 +207,13 @@ cmake --build build-asan -j --target obs_test analysis_test \
 ./build-asan/tests/property_test
 ./build-asan/tests/groupby_test
 ./build-asan/tests/proof_characterization_test
+# Every hash operator (joins, DISTINCT, GROUP BY, set operations) runs
+# on one flat key table whose slots index a row store by ordinal:
+# sanitize the table's own tests and every suite that drives it.
+./build-asan/tests/key_table_test
+./build-asan/tests/batch_boundary_test
+./build-asan/tests/operators_test
+./build-asan/tests/exec_test
 
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: ThreadSanitizer build of concurrent obs tests =="
@@ -213,7 +224,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake --build build-tsan -j --target obs_test recorder_test \
     cache_test concurrent_prepare_test advisor_test \
     timeseries_test sentinel_test equiv_test cost_model_test \
-    parallel_exec_test dml_test dml_oracle_test
+    parallel_exec_test key_table_test dml_test dml_oracle_test
   ./build-tsan/tests/obs_test
   ./build-tsan/tests/recorder_test
   ./build-tsan/tests/cache_test
@@ -224,6 +235,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/equiv_test
   ./build-tsan/tests/cost_model_test
   ./build-tsan/tests/parallel_exec_test
+  ./build-tsan/tests/key_table_test
   ./build-tsan/tests/dml_test
   ./build-tsan/tests/dml_oracle_test
 fi

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "exec/index_exec.h"
+#include "exec/parallel.h"
 #include "expr/equality.h"
 #include "expr/normalize.h"
 
@@ -332,7 +333,7 @@ std::vector<PlanAlternative> StandardAlternatives(const PlanPtr& original,
       merge.sort_merge_intersect = true;
       out.push_back({plan, merge, std::string(which) + "/sort-merge", {}});
     }
-    if (dop > 1) {
+    if (dop > 1 && SupportsParallelExecution(plan)) {
       PhysicalOptions parallel = hash;
       parallel.dop = dop;
       out.push_back({plan, parallel,

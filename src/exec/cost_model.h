@@ -73,8 +73,9 @@ size_t ChooseBestAlternative(const CostEstimator& estimator,
 /// Builds the standard candidate set for a query: the original and the
 /// rewritten plan, each under hash and nested-loop/sort strategies
 /// (and, for set operations, the sort-merge variant). With dop > 1, a
-/// parallel-at-dop hash variant of each plan joins the pool and
-/// competes under the parallel lowering cost.
+/// parallel-at-dop hash variant of each plan the parallel executor runs
+/// in parallel (SupportsParallelExecution) joins the pool and competes
+/// under the parallel lowering cost.
 std::vector<PlanAlternative> StandardAlternatives(const PlanPtr& original,
                                                   const PlanPtr& rewritten,
                                                   unsigned dop = 1);

@@ -153,27 +153,35 @@ void SortDistinctOp::Close() { rows_.clear(); }
 
 // ------------------------------------------------------------- HashDistinct
 Status HashDistinctOp::Open(ExecContext* ctx) {
-  seen_.clear();
+  seen_.Clear();
   return child_->Open(ctx);
 }
 
 Result<bool> HashDistinctOp::NextBatch(ExecContext* ctx, RowBatch* out) {
   out->Reset();
+  const std::vector<size_t>& cols = seen_.key_columns();
   while (true) {
     UNIQOPT_ASSIGN_OR_RETURN(bool more,
                              child_->NextBatch(ctx, &input_batch_));
-    if (!more) return !out->empty();
+    if (!more) return false;
+    const size_t first = seen_.size();
     for (size_t i = 0; i < input_batch_.size(); ++i) {
       const Row& row = input_batch_.row(i);
       ++ctx->stats.hash_probes;
-      if (seen_.insert(row).second) out->Append(row);
+      seen_.FindOrInsert(KeyTable::HashKey(row, cols), row, cols,
+                         [&] { return row; });
     }
-    if (!out->empty()) return true;
+    // The new rows are contiguous at the end of the store, which only
+    // grows on the next call — after the consumer is done with `out`.
+    if (seen_.size() > first) {
+      out->Borrow(seen_.rows().data() + first, seen_.size() - first);
+      return true;
+    }
   }
 }
 
 void HashDistinctOp::Close() {
-  seen_.clear();
+  seen_.Clear();
   child_->Close();
 }
 
@@ -215,18 +223,87 @@ void NestedLoopProductOp::Close() {
   right_rows_.clear();
 }
 
+// ---------------------------------------------------------- SharedJoinBuild
+SharedJoinBuild::SharedJoinBuild(std::vector<size_t> keys, size_t partitions)
+    : keys_(std::move(keys)),
+      part_rows_(partitions == 0 ? 1 : partitions),
+      part_hashes_(part_rows_.size()),
+      tables_(part_rows_.size(), KeyTable(keys_)) {}
+
+Status SharedJoinBuild::EnsureBuilt(Operator* build_side, ExecContext* ctx) {
+  bool drainer = false;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (state_ == State::kIdle) {
+      state_ = State::kDraining;
+      drainer = true;
+    }
+  }
+  if (drainer) {
+    // Drain the build side once (this worker's operator instance; the
+    // other workers' build subtrees are never opened), hash each row's
+    // key and partition the rows by hash. NULL join keys never match
+    // under 3VL `=`, so those rows are dropped here.
+    Status drain_status = [&]() -> Status {
+      UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> rows, Drain(build_side, ctx));
+      for (std::vector<Row>& part : part_rows_) {
+        part.reserve(rows.size() / part_rows_.size());
+      }
+      for (Row& r : rows) {
+        if (KeyTable::HasNull(r, keys_)) continue;
+        const uint64_t hash = KeyTable::HashKey(r, keys_);
+        const size_t p = PartitionOf(hash);
+        part_rows_[p].push_back(std::move(r));
+        part_hashes_[p].push_back(hash);
+      }
+      return Status::OK();
+    }();
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!drain_status.ok()) {
+      state_ = State::kFailed;
+      failure_ = drain_status;
+      cv_.notify_all();
+      return drain_status;
+    }
+    state_ = State::kBuilding;
+    cv_.notify_all();
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] {
+      return state_ != State::kIdle && state_ != State::kDraining;
+    });
+    if (state_ == State::kFailed) return failure_;
+    if (state_ == State::kPublished) return Status::OK();
+  }
+  // kBuilding: claim partitions and index them. The atomic counter gives
+  // each partition exactly one builder, so the per-table writes are
+  // unsynchronized; publication below transfers them via the mutex.
+  while (true) {
+    size_t p = next_partition_.fetch_add(1, std::memory_order_relaxed);
+    if (p >= tables_.size()) break;
+    tables_[p].Build(std::move(part_rows_[p]), part_hashes_[p]);
+    part_hashes_[p] = std::vector<uint64_t>();
+    ctx->stats.hash_build_rows += tables_[p].size();
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++partitions_built_ == tables_.size()) {
+      state_ = State::kPublished;
+      cv_.notify_all();
+    }
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock,
+           [&] { return state_ == State::kPublished ||
+                        state_ == State::kFailed; });
+  return state_ == State::kFailed ? failure_ : Status::OK();
+}
+
 // ----------------------------------------------------------------- HashJoin
 Status HashJoinOp::Open(ExecContext* ctx) {
-  build_.clear();
-  UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> rows, Drain(right_.get(), ctx));
-  for (Row& r : rows) {
-    Row key = r.Project(right_keys_);
-    bool has_null = false;
-    for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-    if (has_null) continue;  // NULL join keys never match under 3VL `=`.
-    ++ctx->stats.hash_build_rows;
-    build_.emplace(std::move(key), std::move(r));
-  }
+  build_ = shared_ != nullptr
+               ? shared_
+               : std::make_shared<SharedJoinBuild>(right_keys_, 1);
+  UNIQOPT_RETURN_NOT_OK(build_->EnsureBuilt(right_.get(), ctx));
   return left_->Open(ctx);
 }
 
@@ -238,14 +315,13 @@ Result<bool> HashJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
     if (!more) return !out->empty();
     for (size_t i = 0; i < probe_batch_.size(); ++i) {
       const Row& probe = probe_batch_.row(i);
-      Row key = probe.Project(left_keys_);
-      bool has_null = false;
-      for (size_t k = 0; k < key.size(); ++k) has_null |= key[k].is_null();
       ++ctx->stats.hash_probes;
-      if (has_null) continue;
-      auto [it, end] = build_.equal_range(key);
-      for (; it != end; ++it) {
-        Row candidate = Row::Concat(probe, it->second);
+      if (KeyTable::HasNull(probe, left_keys_)) continue;
+      const uint64_t hash = KeyTable::HashKey(probe, left_keys_);
+      const KeyTable& table = build_->Partition(hash);
+      for (uint32_t m = table.Find(hash, probe, left_keys_);
+           m != KeyTable::kNone; m = table.Next(m)) {
+        Row candidate = Row::Concat(probe, table.row(m));
         if (residual_ == nullptr ||
             residual_->EvaluatePredicate(candidate, ctx->params) ==
                 Tribool::kTrue) {
@@ -258,8 +334,10 @@ Result<bool> HashJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
 }
 
 void HashJoinOp::Close() {
+  // right_ is opened and closed inside the build, by the draining
+  // worker only. A shared build lives until every worker lets go.
   left_->Close();
-  build_.clear();
+  build_.reset();
 }
 
 // ------------------------------------------------------ NestedLoopSemiJoin
@@ -294,29 +372,22 @@ void NestedLoopSemiJoinOp::Close() {
 
 // ---------------------------------------------------------- HashSemiJoin
 Status HashSemiJoinOp::Open(ExecContext* ctx) {
-  build_.clear();
-  UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> rows, Drain(inner_.get(), ctx));
-  for (Row& r : rows) {
-    Row key = r.Project(inner_keys_);
-    bool has_null = false;
-    for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-    if (has_null) continue;
-    ++ctx->stats.hash_build_rows;
-    build_.emplace(std::move(key), std::move(r));
-  }
+  build_ = shared_ != nullptr
+               ? shared_
+               : std::make_shared<SharedJoinBuild>(inner_keys_, 1);
+  UNIQOPT_RETURN_NOT_OK(build_->EnsureBuilt(inner_.get(), ctx));
   return outer_->Open(ctx);
 }
 
 bool HashSemiJoinOp::HasWitness(const Row& row, ExecContext* ctx) {
-  Row key = row.Project(outer_keys_);
-  for (size_t i = 0; i < key.size(); ++i) {
-    if (key[i].is_null()) return false;  // NULL keys never match
-  }
+  if (KeyTable::HasNull(row, outer_keys_)) return false;  // never match
   ++ctx->stats.hash_probes;
-  auto [it, end] = build_.equal_range(key);
-  for (; it != end; ++it) {
+  const uint64_t hash = KeyTable::HashKey(row, outer_keys_);
+  const KeyTable& table = build_->Partition(hash);
+  for (uint32_t m = table.Find(hash, row, outer_keys_);
+       m != KeyTable::kNone; m = table.Next(m)) {
     if (residual_ == nullptr) return true;
-    Row combined = Row::Concat(row, it->second);
+    Row combined = Row::Concat(row, table.row(m));
     if (residual_->EvaluatePredicate(combined, ctx->params) ==
         Tribool::kTrue) {
       return true;
@@ -333,35 +404,53 @@ Result<bool> HashSemiJoinOp::NextBatch(ExecContext* ctx, RowBatch* out) {
 
 void HashSemiJoinOp::Close() {
   outer_->Close();
-  build_.clear();
+  build_.reset();
 }
 
 // -------------------------------------------------------------------- SetOp
 Status SetOpOp::Open(ExecContext* ctx) {
-  right_counts_.clear();
-  emitted_.clear();
+  table_.Clear();
+  counts_.clear();
   UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> rows, Drain(right_.get(), ctx));
+  const std::vector<size_t>& cols = table_.key_columns();
   for (Row& r : rows) {
     ++ctx->stats.hash_build_rows;
-    ++right_counts_[std::move(r)];
+    auto [ordinal, inserted] = table_.FindOrInsert(
+        KeyTable::HashKey(r, cols), r, cols, [&] { return std::move(r); });
+    if (inserted) {
+      counts_.push_back(1);
+    } else {
+      ++counts_[ordinal];
+    }
   }
   return left_->Open(ctx);
 }
 
 bool SetOpOp::Keep(const Row& row, ExecStats* stats) {
   ++stats->hash_probes;
-  auto it = right_counts_.find(row);
-  size_t right_count = it == right_counts_.end() ? 0 : it->second;
+  const std::vector<size_t>& cols = table_.key_columns();
+  const uint64_t hash = KeyTable::HashKey(row, cols);
+  if (mode_ == DuplicateMode::kDist && op_ == SetOpAlgebra::kExcept) {
+    // EXCEPT: r0 ∈ result iff it occurs only on the left; emit once. The
+    // first left copy goes into the table (count 0), so its later copies
+    // are found there and dropped like the rows that occur on the right.
+    auto [ordinal, inserted] =
+        table_.FindOrInsert(hash, row, cols, [&] { return row; });
+    if (inserted) counts_.push_back(0);
+    return inserted;
+  }
+  const uint32_t ordinal = table_.Find(hash, row, cols);
+  const size_t right_count = ordinal == KeyTable::kNone ? 0 : counts_[ordinal];
   if (mode_ == DuplicateMode::kDist) {
-    // INTERSECT: r0 ∈ result iff it occurs in both; EXCEPT: iff only
-    // left. Either way emit once.
-    bool member = op_ == SetOpAlgebra::kIntersect ? right_count > 0
-                                                  : right_count == 0;
-    return member && emitted_.insert(row).second;
+    // INTERSECT: r0 ∈ result iff it occurs in both; emit once by using
+    // up every right copy at the first match.
+    if (right_count == 0) return false;
+    counts_[ordinal] = 0;
+    return true;
   }
   // INTERSECT ALL: min(j, k) occurrences; EXCEPT ALL: max(j − k, 0).
   // Each left copy consumes one right copy while any remain.
-  if (right_count > 0) --it->second;
+  if (right_count > 0) --counts_[ordinal];
   return (op_ == SetOpAlgebra::kIntersect) == (right_count > 0);
 }
 
@@ -373,8 +462,8 @@ Result<bool> SetOpOp::NextBatch(ExecContext* ctx, RowBatch* out) {
 
 void SetOpOp::Close() {
   left_->Close();
-  right_counts_.clear();
-  emitted_.clear();
+  table_.Clear();
+  counts_.clear();
 }
 
 // --------------------------------------------------- GroupedAggregator
@@ -382,7 +471,8 @@ GroupedAggregator::GroupedAggregator(const Schema& input_schema,
                                      std::vector<size_t> group_columns,
                                      std::vector<AggregateItem> aggregates)
     : group_columns_(std::move(group_columns)),
-      aggregates_(std::move(aggregates)) {
+      aggregates_(std::move(aggregates)),
+      keys_(AllColumns(group_columns_.size())) {
   arg_types_.reserve(aggregates_.size());
   for (const AggregateItem& agg : aggregates_) {
     arg_types_.push_back(agg.func == AggFunc::kCountStar
@@ -391,26 +481,16 @@ GroupedAggregator::GroupedAggregator(const Schema& input_schema,
   }
 }
 
-size_t GroupedAggregator::GroupSlot(const Row& key_source) {
-  // Scalar aggregate: one global group, no per-row key projection or
-  // hashing. group_index_ still learns the (empty) key so MergeFrom
-  // finds the same slot.
-  if (group_columns_.empty()) {
-    if (states_.empty()) {
-      group_index_.emplace(Row(), 0);
-      group_keys_.emplace_back();
-      states_.emplace_back(aggregates_.size());
-    }
-    return 0;
-  }
-  Row key = key_source.Project(group_columns_);
-  auto [it, inserted] = group_index_.emplace(std::move(key),
-                                             group_keys_.size());
-  if (inserted) {
-    group_keys_.push_back(key_source.Project(group_columns_));
-    states_.emplace_back(aggregates_.size());
-  }
-  return it->second;
+size_t GroupedAggregator::GroupSlot(const Row& row) {
+  // Scalar aggregate: one global group, hashed once. keys_ still learns
+  // the (empty) key so MergeFrom finds the same group.
+  if (group_columns_.empty() && !states_.empty()) return 0;
+  // The key is projected only when it opens a new group.
+  auto [group, inserted] = keys_.FindOrInsert(
+      KeyTable::HashKey(row, group_columns_), row, group_columns_,
+      [&] { return row.Project(group_columns_); });
+  if (inserted) states_.emplace_back(aggregates_.size());
+  return group;
 }
 
 void GroupedAggregator::Fold(std::vector<AggState>* group,
@@ -467,15 +547,15 @@ void GroupedAggregator::Accumulate(const Row& row, ExecStats* stats) {
 }
 
 void GroupedAggregator::MergeFrom(const GroupedAggregator& other) {
-  for (size_t g = 0; g < other.group_keys_.size(); ++g) {
-    // other.group_keys_[g] is already projected onto the group columns.
-    auto [it, inserted] = group_index_.emplace(other.group_keys_[g],
-                                               group_keys_.size());
-    if (inserted) {
-      group_keys_.push_back(other.group_keys_[g]);
-      states_.emplace_back(aggregates_.size());
-    }
-    std::vector<AggState>& mine = states_[it->second];
+  // other's stored keys are already projected onto the group columns and
+  // hashed exactly as a source row's group columns are: reuse the hashes.
+  const std::vector<size_t>& cols = keys_.key_columns();
+  other.keys_.ForEachKey([&](uint64_t hash, uint32_t g) {
+    const Row& key = other.keys_.row(g);
+    auto [group, inserted] =
+        keys_.FindOrInsert(hash, key, cols, [&] { return key; });
+    if (inserted) states_.emplace_back(aggregates_.size());
+    std::vector<AggState>& mine = states_[group];
     const std::vector<AggState>& theirs = other.states_[g];
     for (size_t a = 0; a < aggregates_.size(); ++a) {
       AggState& st = mine[a];
@@ -489,17 +569,17 @@ void GroupedAggregator::MergeFrom(const GroupedAggregator& other) {
         st.any = true;
       }
     }
-  }
+  });
 }
 
 std::vector<Row> GroupedAggregator::Finalize() const {
   std::vector<Row> out_rows;
   // A scalar aggregate always yields one group, even over empty input.
-  const bool scalar_empty = group_columns_.empty() && group_keys_.empty();
-  size_t groups = scalar_empty ? 1 : group_keys_.size();
+  const bool scalar_empty = group_columns_.empty() && keys_.size() == 0;
+  size_t groups = scalar_empty ? 1 : keys_.size();
   const std::vector<AggState> empty_states(aggregates_.size());
   for (size_t g = 0; g < groups; ++g) {
-    Row out = scalar_empty ? Row() : group_keys_[g];
+    Row out = scalar_empty ? Row() : keys_.row(static_cast<uint32_t>(g));
     const std::vector<AggState>& group =
         scalar_empty ? empty_states : states_[g];
     for (size_t a = 0; a < aggregates_.size(); ++a) {

@@ -1,11 +1,13 @@
 #ifndef UNIQOPT_EXEC_OPERATORS_H_
 #define UNIQOPT_EXEC_OPERATORS_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <mutex>
 #include <vector>
 
+#include "exec/key_table.h"
 #include "exec/operator.h"
 #include "expr/expr.h"
 #include "expr/predicate_program.h"
@@ -114,16 +116,20 @@ class SortDistinctOp final : public Operator {
 class HashDistinctOp final : public Operator {
  public:
   explicit HashDistinctOp(OperatorPtr child)
-      : Operator(child->schema()), child_(std::move(child)) {}
+      : Operator(child->schema()),
+        child_(std::move(child)),
+        seen_(AllColumns(schema().num_columns())) {}
 
   Status Open(ExecContext* ctx) override;
+  /// Emits borrowed slices of the table's row store: the rows each
+  /// input batch added, in arrival order.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   void Close() override;
   std::string name() const override { return "HashDistinct"; }
 
  private:
   OperatorPtr child_;
-  std::unordered_set<Row, RowHash, RowNullSafeEqual> seen_;
+  KeyTable seen_;
   RowBatch input_batch_;
 };
 
@@ -151,20 +157,72 @@ class NestedLoopProductOp final : public Operator {
   size_t right_pos_ = 0;  ///< next right row to pair with it
 };
 
+/// The build side of a hash equi-join (inner, semi or anti): the build
+/// rows whose key columns are all non-NULL (3VL `=` never matches a
+/// NULL), indexed on those columns in one KeyTable per partition. A
+/// serial join owns a one-partition build. The workers of a parallel
+/// join share one: the first worker to arrive drains the build side once
+/// and partitions its rows by key hash; all present workers then claim
+/// partitions and index them; once every partition is built the table
+/// is published read-only and probing proceeds with no further
+/// synchronization.
+class SharedJoinBuild {
+ public:
+  SharedJoinBuild(std::vector<size_t> keys, size_t partitions);
+
+  /// Blocks until the table is published (taking part in the
+  /// drain/partition-build work as needed). `build_side` is the calling
+  /// worker's own build-side operator; only the first caller's instance
+  /// is ever opened. Build rows are counted into the caller's stats for
+  /// the partitions this caller indexed.
+  Status EnsureBuilt(Operator* build_side, ExecContext* ctx);
+
+  /// The partition holding every build row hashed to `hash`; only valid
+  /// after EnsureBuilt succeeded.
+  const KeyTable& Partition(uint64_t hash) const {
+    return tables_[PartitionOf(hash)];
+  }
+
+ private:
+  enum class State { kIdle, kDraining, kBuilding, kPublished, kFailed };
+
+  /// The low hash bits pick slots inside a partition; the high ones pick
+  /// the partition.
+  size_t PartitionOf(uint64_t hash) const {
+    return static_cast<size_t>((hash >> 32) % tables_.size());
+  }
+
+  const std::vector<size_t> keys_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  State state_ = State::kIdle;
+  Status failure_;
+  /// Per-partition build rows (NULL keys already dropped) and their
+  /// hashes, written by the draining worker, consumed by the builders.
+  std::vector<std::vector<Row>> part_rows_;
+  std::vector<std::vector<uint64_t>> part_hashes_;
+  std::vector<KeyTable> tables_;
+  std::atomic<size_t> next_partition_{0};
+  size_t partitions_built_ = 0;
+};
+
 /// Hash equi-join (inner). Build side is the right input; rows with a
 /// NULL key never match (3VL `=`). A residual predicate is applied to
-/// each candidate pair.
+/// each candidate pair. With `shared` set, the build is the one all
+/// workers of a parallel join share; otherwise each Open builds its own.
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right,
              std::vector<size_t> left_keys, std::vector<size_t> right_keys,
-             ExprPtr residual)
+             ExprPtr residual,
+             std::shared_ptr<SharedJoinBuild> shared = nullptr)
       : Operator(Schema::Concat(left->schema(), right->schema())),
         left_(std::move(left)),
         right_(std::move(right)),
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)),
-        residual_(std::move(residual)) {}
+        residual_(std::move(residual)),
+        shared_(std::move(shared)) {}
 
   Status Open(ExecContext* ctx) override;
   /// Probes a whole input batch per call, emitting all matches.
@@ -178,7 +236,8 @@ class HashJoinOp final : public Operator {
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
   ExprPtr residual_;
-  std::unordered_multimap<Row, Row, RowHash, RowNullSafeEqual> build_;
+  std::shared_ptr<SharedJoinBuild> shared_;
+  std::shared_ptr<SharedJoinBuild> build_;  ///< set from Open to Close
   RowBatch probe_batch_;
 };
 
@@ -216,20 +275,23 @@ class NestedLoopSemiJoinOp final : public Operator {
 };
 
 /// Hash semi/anti join on extracted equi-keys with residual predicate;
-/// compacts the outer batch's selection vector in place.
+/// compacts the outer batch's selection vector in place. The build is
+/// the inner input, shared across workers like HashJoinOp's.
 class HashSemiJoinOp final : public Operator {
  public:
   HashSemiJoinOp(OperatorPtr outer, OperatorPtr inner,
                  std::vector<size_t> outer_keys,
                  std::vector<size_t> inner_keys, ExprPtr residual,
-                 bool negated)
+                 bool negated,
+                 std::shared_ptr<SharedJoinBuild> shared = nullptr)
       : Operator(outer->schema()),
         outer_(std::move(outer)),
         inner_(std::move(inner)),
         outer_keys_(std::move(outer_keys)),
         inner_keys_(std::move(inner_keys)),
         residual_(std::move(residual)),
-        negated_(negated) {}
+        negated_(negated),
+        shared_(std::move(shared)) {}
 
   Status Open(ExecContext* ctx) override;
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
@@ -248,7 +310,8 @@ class HashSemiJoinOp final : public Operator {
   std::vector<size_t> inner_keys_;
   ExprPtr residual_;
   bool negated_;
-  std::unordered_multimap<Row, Row, RowHash, RowNullSafeEqual> build_;
+  std::shared_ptr<SharedJoinBuild> shared_;
+  std::shared_ptr<SharedJoinBuild> build_;  ///< set from Open to Close
 };
 
 /// INTERSECT [ALL] / EXCEPT [ALL] with the paper's `=!` tuple
@@ -263,7 +326,8 @@ class SetOpOp final : public Operator {
         op_(op),
         mode_(mode),
         left_(std::move(left)),
-        right_(std::move(right)) {}
+        right_(std::move(right)),
+        table_(AllColumns(schema().num_columns())) {}
 
   Status Open(ExecContext* ctx) override;
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
@@ -279,8 +343,12 @@ class SetOpOp final : public Operator {
   DuplicateMode mode_;
   OperatorPtr left_;
   OperatorPtr right_;
-  std::unordered_map<Row, size_t, RowHash, RowNullSafeEqual> right_counts_;
-  std::unordered_set<Row, RowHash, RowNullSafeEqual> emitted_;
+  /// The distinct right rows, plus (EXCEPT DISTINCT) the left rows
+  /// already emitted. counts_[ordinal] is the number of right copies
+  /// no left row has used up yet: an emitted left row has none, and
+  /// INTERSECT DISTINCT uses up every copy when it emits the row.
+  KeyTable table_;
+  std::vector<size_t> counts_;
 };
 
 /// Grouping + aggregate folding under `=!`, factored out of
@@ -317,13 +385,14 @@ class GroupedAggregator {
   };
 
   void Fold(std::vector<AggState>* group, const Row& row) const;
-  size_t GroupSlot(const Row& key_source);
+  size_t GroupSlot(const Row& row);
 
   std::vector<size_t> group_columns_;
   std::vector<AggregateItem> aggregates_;
   std::vector<TypeId> arg_types_;  ///< result type per aggregate
-  std::unordered_map<Row, size_t, RowHash, RowNullSafeEqual> group_index_;
-  std::vector<Row> group_keys_;
+  /// One stored key row (projected onto the group columns) per group;
+  /// a group's ordinal indexes states_.
+  KeyTable keys_;
   std::vector<std::vector<AggState>> states_;
 };
 

@@ -3,125 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
-#include "exec/operators.h"
+#include "exec/key_table.h"
 #include "obs/metrics.h"
 
 namespace uniqopt {
-
-// ------------------------------------------------------ SharedJoinBuild
-Status SharedJoinBuild::EnsureBuilt(Operator* build_side, ExecContext* ctx,
-                                    const std::vector<size_t>& keys) {
-  bool drainer = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (state_ == State::kIdle) {
-      state_ = State::kDraining;
-      drainer = true;
-    }
-  }
-  if (drainer) {
-    // Drain the build side once (this worker's operator instance; the
-    // other workers' build subtrees are never opened) and partition the
-    // keyed rows by hash. NULL join keys never match under 3VL `=`, so
-    // they are dropped here, exactly like the serial HashJoinOp build.
-    Status drain_status = [&]() -> Status {
-      UNIQOPT_ASSIGN_OR_RETURN(std::vector<Row> rows, Drain(build_side, ctx));
-      for (Row& r : rows) {
-        Row key = r.Project(keys);
-        bool has_null = false;
-        for (size_t i = 0; i < key.size(); ++i) has_null |= key[i].is_null();
-        if (has_null) continue;
-        size_t p = key.Hash() % rows_.size();
-        rows_[p].emplace_back(std::move(key), std::move(r));
-      }
-      return Status::OK();
-    }();
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!drain_status.ok()) {
-      state_ = State::kFailed;
-      failure_ = drain_status;
-      cv_.notify_all();
-      return drain_status;
-    }
-    state_ = State::kBuilding;
-    cv_.notify_all();
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] {
-      return state_ != State::kIdle && state_ != State::kDraining;
-    });
-    if (state_ == State::kFailed) return failure_;
-    if (state_ == State::kPublished) return Status::OK();
-  }
-  // kBuilding: claim partitions and build their hash tables. The atomic
-  // counter gives each partition exactly one builder, so the per-table
-  // writes are unsynchronized; publication below transfers them via the
-  // mutex.
-  while (true) {
-    size_t p = next_partition_.fetch_add(1, std::memory_order_relaxed);
-    if (p >= tables_.size()) break;
-    BuildTable& table = tables_[p];
-    for (std::pair<Row, Row>& kv : rows_[p]) {
-      ++ctx->stats.hash_build_rows;
-      table.emplace(std::move(kv.first), std::move(kv.second));
-    }
-    rows_[p].clear();
-    std::unique_lock<std::mutex> lock(mu_);
-    if (++partitions_built_ == tables_.size()) {
-      state_ = State::kPublished;
-      cv_.notify_all();
-    }
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock,
-           [&] { return state_ == State::kPublished ||
-                        state_ == State::kFailed; });
-  return state_ == State::kFailed ? failure_ : Status::OK();
-}
-
-// ------------------------------------------------ SharedHashJoinProbeOp
-Status SharedHashJoinProbeOp::Open(ExecContext* ctx) {
-  UNIQOPT_RETURN_NOT_OK(build_->EnsureBuilt(right_.get(), ctx, right_keys_));
-  return left_->Open(ctx);
-}
-
-Result<bool> SharedHashJoinProbeOp::NextBatch(ExecContext* ctx,
-                                              RowBatch* out) {
-  out->Reset();
-  while (true) {
-    UNIQOPT_ASSIGN_OR_RETURN(bool more,
-                             left_->NextBatch(ctx, &probe_batch_));
-    if (!more) return !out->empty();
-    for (size_t i = 0; i < probe_batch_.size(); ++i) {
-      const Row& probe = probe_batch_.row(i);
-      Row key = probe.Project(left_keys_);
-      bool has_null = false;
-      for (size_t k = 0; k < key.size(); ++k) has_null |= key[k].is_null();
-      ++ctx->stats.hash_probes;
-      if (has_null) continue;
-      auto [it, end] = build_->Probe(key);
-      for (; it != end; ++it) {
-        Row candidate = Row::Concat(probe, it->second);
-        if (residual_ == nullptr ||
-            residual_->EvaluatePredicate(candidate, ctx->params) ==
-                Tribool::kTrue) {
-          out->Append(std::move(candidate));
-        }
-      }
-    }
-    if (!out->empty()) return true;
-  }
-}
-
-void SharedHashJoinProbeOp::Close() {
-  // right_ is opened/closed inside SharedJoinBuild by the draining
-  // worker only; closing it here would double-close.
-  left_->Close();
-}
 
 // ----------------------------------------------------- parallel executor
 namespace {
@@ -130,7 +17,7 @@ namespace {
 enum class MergeMode {
   kConcat,     ///< order-insensitive concatenation of worker outputs
   kAggregate,  ///< thread-local pre-aggregation, merged then finalized
-  kDistinct,   ///< thread-local dedup, merged into a global seen-set
+  kDistinct,   ///< thread-local dedup, merged into worker 0's table
 };
 
 /// The driving base-table Get of a worker pipeline: the scan whose rows
@@ -199,6 +86,28 @@ size_t CountNode(const PlanPtr& plan, const PlanNode* target) {
   return n;
 }
 
+/// The pipeline the workers run: below a root aggregation or DISTINCT
+/// (the pipeline breaker, which happens once at the merge), else the
+/// whole plan.
+const PlanPtr& PipelineBelowRoot(const PlanPtr& plan) {
+  if (plan->kind() == PlanKind::kAggregate) {
+    return As<AggregateNode>(plan)->input();
+  }
+  if (plan->kind() == PlanKind::kProject &&
+      As<ProjectNode>(plan)->mode() == DuplicateMode::kDist) {
+    return As<ProjectNode>(plan)->input();
+  }
+  return plan;
+}
+
+/// The scan whose morsels drive `pipeline`, or nullptr when the
+/// pipeline cannot run in parallel.
+const PlanNode* PipelineDriver(const PlanPtr& pipeline) {
+  const PlanNode* driver = FindDriver(pipeline);
+  if (driver == nullptr || CountNode(pipeline, driver) != 1) return nullptr;
+  return driver;
+}
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -208,11 +117,18 @@ uint64_t NowNs() {
 
 }  // namespace
 
+bool SupportsParallelExecution(const PlanPtr& plan) {
+  return PipelineDriver(PipelineBelowRoot(plan)) != nullptr;
+}
+
 Result<std::optional<std::vector<Row>>> TryParallelExecute(
     const PlanPtr& plan, const Database& db, ExecContext* ctx,
     const PhysicalOptions& options, ExecProfile* profile) {
   unsigned dop = std::min(options.dop, 64u);
   if (dop <= 1) return std::optional<std::vector<Row>>();
+
+  const PlanNode* driver = PipelineDriver(PipelineBelowRoot(plan));
+  if (driver == nullptr) return std::optional<std::vector<Row>>();
 
   // Pick the gather strategy from the root and derive the per-worker
   // pipeline. A root DISTINCT or aggregation is the pipeline breaker:
@@ -221,26 +137,19 @@ Result<std::optional<std::vector<Row>>> TryParallelExecute(
   MergeMode mode = MergeMode::kConcat;
   PlanPtr worker_plan = plan;
   const AggregateNode* agg_root = nullptr;
-  const ProjectNode* distinct_root = nullptr;
   if (plan->kind() == PlanKind::kAggregate) {
     agg_root = As<AggregateNode>(plan);
     mode = MergeMode::kAggregate;
     worker_plan = agg_root->input();
   } else if (plan->kind() == PlanKind::kProject &&
              As<ProjectNode>(plan)->mode() == DuplicateMode::kDist) {
-    distinct_root = As<ProjectNode>(plan);
+    const ProjectNode* distinct_root = As<ProjectNode>(plan);
     mode = MergeMode::kDistinct;
     // Workers project without eliminating; the dedup happens against
-    // thread-local seen-sets merged at the gather point.
+    // thread-local key tables merged at the gather point.
     worker_plan = ProjectNode::Make(distinct_root->input(),
                                     DuplicateMode::kAll,
                                     distinct_root->columns());
-  }
-
-  const PlanNode* driver = FindDriver(worker_plan);
-  if (driver == nullptr) return std::optional<std::vector<Row>>();
-  if (CountNode(worker_plan, driver) != 1) {
-    return std::optional<std::vector<Row>>();
   }
   auto table =
       db.GetTable(static_cast<const GetNode*>(driver)->table().name());
@@ -275,7 +184,9 @@ Result<std::optional<std::vector<Row>>> TryParallelExecute(
   };
   std::vector<WorkerState> workers(dop);
   std::vector<GroupedAggregator> aggs;
-  std::vector<std::unordered_set<Row, RowHash, RowNullSafeEqual>> seen;
+  std::vector<KeyTable> seen;
+  const std::vector<size_t> distinct_cols =
+      AllColumns(worker_plan->schema().num_columns());
   if (mode == MergeMode::kAggregate) {
     aggs.reserve(dop);
     for (unsigned w = 0; w < dop; ++w) {
@@ -283,7 +194,7 @@ Result<std::optional<std::vector<Row>>> TryParallelExecute(
                         agg_root->group_columns(), agg_root->aggregates());
     }
   } else if (mode == MergeMode::kDistinct) {
-    seen.resize(dop);
+    seen.assign(dop, KeyTable(distinct_cols));
   }
 
   auto run_worker = [&](unsigned w) {
@@ -307,7 +218,8 @@ Result<std::optional<std::vector<Row>>> TryParallelExecute(
             aggs[w].Accumulate(row, &ws.ctx.stats);
           } else {
             ++ws.ctx.stats.hash_probes;
-            seen[w].insert(row);
+            seen[w].FindOrInsert(KeyTable::HashKey(row, distinct_cols), row,
+                                 distinct_cols, [&] { return row; });
           }
           ++ws.produced;
         };
@@ -363,14 +275,18 @@ Result<std::optional<std::vector<Row>>> TryParallelExecute(
       break;
     }
     case MergeMode::kDistinct: {
-      auto& global = seen[0];
+      // Each worker's rows go into worker 0's table under the hashes the
+      // worker already computed; a row new to it moves there.
+      KeyTable& global = seen[0];
       for (unsigned w = 1; w < dop; ++w) {
-        for (const Row& r : seen[w]) {
+        KeyTable& local = seen[w];
+        local.ForEachKey([&](uint64_t hash, uint32_t ordinal) {
           ++ctx->stats.hash_probes;  // the merge is real dedup work
-          global.insert(r);
-        }
+          global.FindOrInsert(hash, local.row(ordinal), distinct_cols,
+                              [&] { return local.TakeRow(ordinal); });
+        });
       }
-      out.assign(global.begin(), global.end());
+      out = global.TakeRows();
       ctx->stats.rows_output += out.size();
       break;
     }

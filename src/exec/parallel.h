@@ -2,17 +2,15 @@
 #define UNIQOPT_EXEC_PARALLEL_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "exec/operator.h"
+#include "exec/operators.h"
 #include "exec/planner.h"
 #include "exec/profile.h"
-#include "expr/expr.h"
 #include "plan/plan.h"
 #include "storage/table.h"
 
@@ -92,85 +90,6 @@ class MorselScanOp final : public Operator {
   size_t end_ = 0;
 };
 
-/// A hash-join build shared across workers: the first worker to arrive
-/// drains the build side once and partitions its rows by key hash; all
-/// present workers then claim partitions and build the per-partition
-/// hash tables; once every partition is built the table is published
-/// read-only and probing proceeds in parallel with no further
-/// synchronization.
-class SharedJoinBuild {
- public:
-  using BuildTable =
-      std::unordered_multimap<Row, Row, RowHash, RowNullSafeEqual>;
-
-  explicit SharedJoinBuild(size_t partitions)
-      : rows_(partitions == 0 ? 1 : partitions),
-        tables_(partitions == 0 ? 1 : partitions) {}
-
-  /// Blocks until the shared table is published (participating in the
-  /// drain/partition-build work as needed). `build_side` is the calling
-  /// worker's own build-side operator; only the first caller's instance
-  /// is ever opened. Build rows are counted into the caller's stats for
-  /// the partitions this caller built.
-  Status EnsureBuilt(Operator* build_side, ExecContext* ctx,
-                     const std::vector<size_t>& keys);
-
-  /// Matches for a non-NULL probe key; only valid after EnsureBuilt
-  /// succeeded.
-  std::pair<BuildTable::const_iterator, BuildTable::const_iterator>
-  Probe(const Row& key) const {
-    const BuildTable& t = tables_[key.Hash() % tables_.size()];
-    return t.equal_range(key);
-  }
-
- private:
-  enum class State { kIdle, kDraining, kBuilding, kPublished, kFailed };
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  State state_ = State::kIdle;
-  Status failure_;
-  /// Partitioned build rows (keyed rows, NULL keys already dropped),
-  /// written by the draining worker, consumed by partition builders.
-  std::vector<std::vector<std::pair<Row, Row>>> rows_;
-  std::vector<BuildTable> tables_;
-  std::atomic<size_t> next_partition_{0};
-  size_t partitions_built_ = 0;
-};
-
-/// Hash equi-join probing a SharedJoinBuild. Mirrors HashJoinOp's probe
-/// semantics (NULL keys never match, residual applied per candidate);
-/// the build side is drained/partitioned once per query, not per
-/// worker.
-class SharedHashJoinProbeOp final : public Operator {
- public:
-  SharedHashJoinProbeOp(OperatorPtr left, OperatorPtr right,
-                        std::vector<size_t> left_keys,
-                        std::vector<size_t> right_keys, ExprPtr residual,
-                        std::shared_ptr<SharedJoinBuild> build)
-      : Operator(Schema::Concat(left->schema(), right->schema())),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)),
-        residual_(std::move(residual)),
-        build_(std::move(build)) {}
-
-  Status Open(ExecContext* ctx) override;
-  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
-  void Close() override;
-  std::string name() const override { return "SharedHashJoinProbe"; }
-
- private:
-  OperatorPtr left_;
-  OperatorPtr right_;
-  std::vector<size_t> left_keys_;
-  std::vector<size_t> right_keys_;
-  ExprPtr residual_;
-  std::shared_ptr<SharedJoinBuild> build_;
-  RowBatch probe_batch_;
-};
-
 /// Hooks handed to the Lowering by the parallel executor. All worker
 /// trees are lowered serially on the coordinator before any worker
 /// thread starts, so the maps need no locking.
@@ -183,14 +102,21 @@ struct ParallelLoweringHooks {
   /// the cursor is sized so ranges and rows come from the same version.
   TableSnapshot driver_snapshot;
   MorselCursor* cursor = nullptr;
-  /// Shared hash-join builds keyed by the SelectNode that lowers to the
-  /// join; created lazily by the first worker lowering, reused by the
-  /// rest.
+  /// Shared hash-join builds keyed by the SelectNode (inner join) or
+  /// ExistsNode (semi/anti join) that lowers to the join; created lazily
+  /// by the first worker lowering, reused by the rest.
   std::unordered_map<const PlanNode*, std::shared_ptr<SharedJoinBuild>>
       shared_builds;
   /// Partition count for new shared builds (usually = dop).
   size_t build_partitions = 1;
 };
+
+/// Whether TryParallelExecute runs `plan` in parallel at dop > 1: the
+/// pipeline below its root DISTINCT or aggregation (if any) is driven
+/// by exactly one base-table scan, with no pipeline breaker on the way
+/// to it. Other shapes run the serial executor, so the cost model
+/// offers a parallel candidate only where this holds.
+bool SupportsParallelExecution(const PlanPtr& plan);
 
 /// Attempts morsel-driven parallel execution of `plan` at
 /// `options.dop` workers. Returns std::nullopt when the plan shape is

@@ -234,23 +234,10 @@ class Lowering {
     if (!left_keys.empty()) {
       ExprPtr res = residual.empty() ? nullptr
                                      : Expr::MakeAnd(std::move(residual));
-      if (hooks_ != nullptr) {
-        // All worker lowerings hit this node (pointer identity — plan
-        // nodes are shared, not copied, across lowerings), so the first
-        // one creates the shared build and the rest reuse it.
-        std::shared_ptr<SharedJoinBuild>& build =
-            hooks_->shared_builds[&node];
-        if (build == nullptr) {
-          build = std::make_shared<SharedJoinBuild>(hooks_->build_partitions);
-        }
-        return OperatorPtr(new SharedHashJoinProbeOp(
-            std::move(left), std::move(right), std::move(left_keys),
-            std::move(right_keys), std::move(res), build));
-      }
-      return OperatorPtr(new HashJoinOp(std::move(left), std::move(right),
-                                        std::move(left_keys),
-                                        std::move(right_keys),
-                                        std::move(res)));
+      std::shared_ptr<SharedJoinBuild> build = SharedBuild(node, right_keys);
+      return OperatorPtr(new HashJoinOp(
+          std::move(left), std::move(right), std::move(left_keys),
+          std::move(right_keys), std::move(res), std::move(build)));
     }
     OperatorPtr join(
         new NestedLoopProductOp(std::move(left), std::move(right)));
@@ -280,9 +267,11 @@ class Lowering {
       if (!outer_keys.empty()) {
         ExprPtr res = residual.empty() ? nullptr
                                        : Expr::MakeAnd(std::move(residual));
+        std::shared_ptr<SharedJoinBuild> build = SharedBuild(node, inner_keys);
         return OperatorPtr(new HashSemiJoinOp(
             std::move(outer), std::move(inner), std::move(outer_keys),
-            std::move(inner_keys), std::move(res), node.negated()));
+            std::move(inner_keys), std::move(res), node.negated(),
+            std::move(build)));
       }
     }
     return OperatorPtr(new NestedLoopSemiJoinOp(std::move(outer),
@@ -303,6 +292,22 @@ class Lowering {
     return OperatorPtr(
         new SetOpOp(node.op(), node.mode(), std::move(left),
                     std::move(right)));
+  }
+
+  /// The build the workers of a parallel lowering share for the join
+  /// `node` lowers to; nullptr for a serial lowering, whose join builds
+  /// its own. All worker lowerings hit `node` (pointer identity — plan
+  /// nodes are shared, not copied, across lowerings), so the first one
+  /// creates the build and the rest reuse it.
+  std::shared_ptr<SharedJoinBuild> SharedBuild(
+      const PlanNode& node, const std::vector<size_t>& build_keys) {
+    if (hooks_ == nullptr) return nullptr;
+    std::shared_ptr<SharedJoinBuild>& build = hooks_->shared_builds[&node];
+    if (build == nullptr) {
+      build = std::make_shared<SharedJoinBuild>(build_keys,
+                                                hooks_->build_partitions);
+    }
+    return build;
   }
 
   /// Rebases a right-side-only conjunct from product coordinates into the

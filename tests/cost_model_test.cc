@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/cost_model.h"
+#include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "test_util.h"
 #include "txn/dml_executor.h"
@@ -393,6 +394,40 @@ TEST_F(CostModelTest, ParallelAlternativeWinsOnlyForLargeWork) {
   size_t small_best = ChooseBestAlternative(*estimator_, &small_alts);
   EXPECT_EQ(small_alts[small_best].physical.dop, 1u)
       << small_alts[small_best].label;
+}
+
+TEST_F(CostModelTest, ParallelCandidateOnlyWhereThePlanRunsInParallel) {
+  // A GROUP BY binds to a projection over the aggregation: the morsel
+  // executor finds no driving scan below the projection and runs it
+  // serially, so no parallel candidate may be offered (or labelled).
+  PlanPtr grouped =
+      Bind("SELECT SCITY, COUNT(*) FROM SUPPLIER GROUP BY SCITY");
+  ASSERT_EQ(grouped->kind(), PlanKind::kProject);
+  ASSERT_EQ(grouped->child(0)->kind(), PlanKind::kAggregate);
+  EXPECT_FALSE(SupportsParallelExecution(grouped));
+  for (const PlanAlternative& alt :
+       StandardAlternatives(grouped, grouped, 4)) {
+    EXPECT_EQ(alt.physical.dop, 1u) << alt.label;
+  }
+  PhysicalOptions dop4;
+  dop4.dop = 4;
+  ExecContext grouped_ctx;
+  ASSERT_OK(ExecutePlan(grouped, db_, &grouped_ctx, dop4).status());
+  EXPECT_EQ(grouped_ctx.stats.morsels_claimed, 0u);
+
+  // A keyed join runs in parallel: exactly one parallel candidate.
+  PlanPtr join =
+      Bind("SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO");
+  EXPECT_TRUE(SupportsParallelExecution(join));
+  std::vector<std::string> parallel_labels;
+  for (const PlanAlternative& alt : StandardAlternatives(join, join, 4)) {
+    if (alt.physical.dop > 1) parallel_labels.push_back(alt.label);
+  }
+  EXPECT_EQ(parallel_labels,
+            std::vector<std::string>{"original/parallel-dop4"});
+  ExecContext join_ctx;
+  ASSERT_OK(ExecutePlan(join, db_, &join_ctx, dop4).status());
+  EXPECT_GT(join_ctx.stats.morsels_claimed, 0u);
 }
 
 }  // namespace

@@ -259,6 +259,37 @@ TEST_F(ParallelExecTest, SharedBuildJoinMatchesSerialHashJoin) {
   EXPECT_GT(parallel_stats.morsels_claimed, 0u);
 }
 
+TEST_F(ParallelExecTest, SharedBuildExistsMatchesSerialHashSemiJoin) {
+  // The EXISTS twin: the workers share one inner build instead of each
+  // draining the whole inner side, for semi and anti joins alike.
+  for (const char* exists : {"EXISTS", "NOT EXISTS"}) {
+    Binder binder(&db_.catalog());
+    ASSERT_OK_AND_ASSIGN(
+        BoundQuery bound,
+        binder.BindSql(std::string("SELECT S.SNO, S.SNAME FROM SUPPLIER S "
+                                   "WHERE ") +
+                       exists +
+                       " (SELECT * FROM PARTS P WHERE P.SNO = S.SNO "
+                       "AND P.PNO > 2)"));
+    PhysicalOptions serial;
+    ExecStats serial_stats;
+    ASSERT_OK_AND_ASSIGN(std::vector<Row> reference,
+                         ExecBound(bound, db_, serial, &serial_stats));
+    PhysicalOptions dop4;
+    dop4.dop = 4;
+    ExecStats parallel_stats;
+    ASSERT_OK_AND_ASSIGN(std::vector<Row> rows,
+                         ExecBound(bound, db_, dop4, &parallel_stats));
+    EXPECT_TRUE(MultisetEquals(reference, rows)) << exists;
+    EXPECT_GT(serial_stats.hash_build_rows, 0u) << exists;
+    EXPECT_EQ(parallel_stats.hash_build_rows, serial_stats.hash_build_rows)
+        << exists;
+    EXPECT_EQ(parallel_stats.hash_probes, serial_stats.hash_probes)
+        << exists;
+    EXPECT_GT(parallel_stats.morsels_claimed, 0u) << exists;
+  }
+}
+
 TEST_F(ParallelExecTest, PaperExamplesDop8MergedStatsNonZero) {
   Optimizer optimizer(&db_);
   PhysicalOptions dop8;
